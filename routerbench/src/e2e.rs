@@ -21,8 +21,11 @@ use crate::{Scale, Workload, UPDATE_ROUTES};
 /// The benchmark's own profiler point: stamped at the call into
 /// `announce_one`/`withdraw_one`, in the same epoch as `route_kernel`.
 const BENCH_CALL: &str = "bench_probe_call";
-/// Longest a flood phase may take before it counts as failed.
-const PHASE_TIMEOUT: Duration = Duration::from_secs(120);
+/// Longest a flood may take to reach the FIB, and then to quiesce,
+/// before its phase counts as failed.  Together they keep a run that
+/// hangs well inside three minutes.
+const PHASE_TIMEOUT: Duration = Duration::from_secs(60);
+const SETTLE_TIMEOUT: Duration = Duration::from_secs(30);
 /// Longest one probe may take to reach the FIB.
 const PROBE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Longest a router may take to install its connected route.
@@ -253,7 +256,7 @@ impl Bench<'_> {
     fn settle(&self) -> bool {
         let r = &self.router;
         let mut streak = 0;
-        wait_until(PHASE_TIMEOUT, Duration::from_micros(200), || {
+        wait_until(SETTLE_TIMEOUT, Duration::from_micros(200), || {
             let idle = r.bgp_fanout_queue_len() == 0
                 && r.bgp_outstanding_xrls() == 0
                 && r.rib_fea_backlog() == 0

@@ -196,8 +196,8 @@ fn run(w: Workload, seed: u64, seconds: u64, trace: bool, scale: &Scale) -> (Vec
     // Traced run: one cycle end to end (registry, budget denominator),
     // then the micro-measurements and the replay.
     let out = e2e::run(w, &table, scale, 1, true, &mut tally);
-    // A flood's frames carry at most one UPDATE's routes: the batchers
-    // flush whenever their loop goes idle, which is after every UPDATE.
+    // A flood's frames carry at most one UPDATE's routes: the batchers'
+    // deferred flush runs before their loop takes the next UPDATE.
     let xrl = micro::xrl(&table, w.batch_size().min(UPDATE_ROUTES));
     let wake = micro::event_wake();
     let replay = replay::run(w, &table, scale, &mut tally);

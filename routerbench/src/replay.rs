@@ -303,8 +303,8 @@ impl Pipeline {
 
     /// Ingest one UPDATE, then ship what BGP emitted as the router's
     /// batcher does: a frame whenever `batch` rows are pending, and the
-    /// rest when the loop goes idle, which during a flood is after every
-    /// UPDATE.  Frames never span UPDATEs.
+    /// rest from its deferred flush, which the loop runs before it takes
+    /// the next UPDATE.  Frames never span UPDATEs.
     fn update(&mut self, peer: u32, update: UpdateIn<Ipv4Addr>, routes: usize) {
         self.begin(Layer::Bgp);
         self.bgp.apply_update(&mut self.el, PeerId(peer), update);

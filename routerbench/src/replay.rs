@@ -60,8 +60,6 @@ impl NexthopService<Ipv4Addr> for Connected {
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Layer {
-    /// The benchmark's own glue around the layer calls.
-    Phase,
     Bgp,
     Encode,
     Decode,
@@ -69,55 +67,24 @@ enum Layer {
     Fea,
 }
 
-const LAYERS: usize = 6;
+const LAYERS: usize = 5;
 
-struct Span {
-    layer: Layer,
-    parent: Option<usize>,
-    start: Instant,
-    end: Instant,
-}
-
-/// Spans of one traced unit: a root `Phase` span with one child per
-/// layer call.
+/// The spans of one traced unit, summed per layer as they close.  Layer
+/// calls never nest, so a layer's self time is the sum of its spans.
 #[derive(Default)]
 struct SpanLog {
-    spans: Vec<Span>,
-    open: Vec<usize>,
+    open: Option<(Layer, Instant)>,
+    ns: [f64; LAYERS],
 }
 
 impl SpanLog {
     fn begin(&mut self, layer: Layer) {
-        let now = Instant::now();
-        self.open.push(self.spans.len());
-        self.spans.push(Span {
-            layer,
-            parent: self.open.iter().rev().nth(1).copied(),
-            start: now,
-            end: now,
-        });
+        self.open = Some((layer, Instant::now()));
     }
 
     fn end(&mut self) {
-        let id = self.open.pop().expect("span ended without a begin");
-        self.spans[id].end = Instant::now();
-    }
-
-    /// Self time per layer in ns: each span's duration minus the part its
-    /// children cover.
-    fn self_ns(&self) -> [f64; LAYERS] {
-        let dur = |s: &Span| (s.end - s.start).as_nanos() as f64;
-        let mut own: Vec<f64> = self.spans.iter().map(dur).collect();
-        for s in &self.spans {
-            if let Some(p) = s.parent {
-                own[p] -= dur(s);
-            }
-        }
-        let mut out = [0.0; LAYERS];
-        for (s, ns) in self.spans.iter().zip(own) {
-            out[s.layer as usize] += ns;
-        }
-        out
+        let (layer, t0) = self.open.take().expect("span ended without a begin");
+        self.ns[layer as usize] += t0.elapsed().as_nanos() as f64;
     }
 }
 
@@ -583,7 +550,6 @@ impl Replay<'_> {
         self.units += 1;
         if traced {
             self.p.log = Some(SpanLog::default());
-            self.p.begin(Layer::Phase);
         }
         let base = self.p.counts;
         let t0 = Instant::now();
@@ -591,9 +557,8 @@ impl Replay<'_> {
         let ns = t0.elapsed().as_nanos() as f64;
         let d = self.p.counts.since(base);
         match self.p.log.take() {
-            Some(mut log) => {
-                log.end();
-                let own = log.self_ns();
+            Some(log) => {
+                let own = log.ns;
                 self.out.bgp_ns += own[Layer::Bgp as usize];
                 self.out.encode_ns += own[Layer::Encode as usize];
                 self.out.decode_ns += own[Layer::Decode as usize];

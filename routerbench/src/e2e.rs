@@ -469,9 +469,15 @@ pub fn run(
     };
     let pairs = scale.probe_pairs(w);
     match w {
-        Workload::FullFeed | Workload::Probe => {
-            feed_cycles(&mut b, table, pairs, repeats, traced, &mut out)
-        }
+        Workload::FullFeed | Workload::Probe => feed_cycles(
+            &mut b,
+            table,
+            pairs,
+            repeats,
+            w == Workload::FullFeed,
+            traced,
+            &mut out,
+        ),
         Workload::Churn => churn(
             &mut b,
             table,
@@ -493,12 +499,16 @@ pub fn run(
     out
 }
 
-/// `fullfeed` and `probe`: load the table, probe it, withdraw it.
+/// `fullfeed` and `probe`: load the table, probe it, withdraw it, and
+/// (`probe_empty`) probe the empty table too.  Probe latency depends on
+/// which cores the loop threads share, and only a flood reshuffles that,
+/// so probing after every flood samples twice as many placements.
 fn feed_cycles(
     b: &mut Bench,
     table: &[BackboneRoute],
     pairs: usize,
     cycles: usize,
+    probe_empty: bool,
     traced: bool,
     out: &mut E2eOut,
 ) {
@@ -519,6 +529,9 @@ fn feed_cycles(
         };
         out.withdraw_rps.push(n as f64 / wd);
         out.churn_rps.push(2.0 * n as f64 / (load + wd));
+        if probe_empty && !b.probes(pairs, traced, out) {
+            return;
+        }
     }
 }
 

@@ -74,8 +74,9 @@ impl Workload {
 pub struct Scale {
     /// Routes in the generated backbone table.
     pub routes: usize,
-    /// Probe announce/withdraw pairs, by workload: per cycle (`fullfeed`,
-    /// `probe`), or per run spread over the rounds (`churn`).
+    /// Probe announce/withdraw pairs, by workload: per probe block
+    /// (`fullfeed`, two blocks a cycle; `probe`, one), or per run spread
+    /// over the rounds (`churn`).
     pub probe_pairs: [usize; 3],
     /// Routes per churn round slice.
     pub churn_slice: usize,
@@ -91,7 +92,7 @@ pub struct Scale {
 impl Scale {
     const FULL: Scale = Scale {
         routes: PAPER_TABLE_SIZE,
-        probe_pairs: [1000, 8000, 4000],
+        probe_pairs: [1000, 4000, 4000],
         churn_slice: 16_384,
         setup_reps: 7,
         replay_probes: 20_000,
@@ -123,8 +124,8 @@ pub const UPDATE_ROUTES: usize = 64;
 /// The constants are the measured durations on a 2-core box.
 fn repeats(w: Workload, seconds: u64) -> usize {
     let (fixed, each) = match w {
-        Workload::FullFeed => (0.0, 4.0),
-        Workload::Probe => (0.0, 12.5),
+        Workload::FullFeed => (0.0, 4.2),
+        Workload::Probe => (0.0, 12.0),
         Workload::Churn => (CHURN_FIXED_S, CHURN_ROUND_S),
     };
     (((seconds as f64 - fixed) / each).floor() as usize).max(1)

@@ -1,8 +1,8 @@
 //! Sender-side coalescing of route XRLs into vectorized frames.
 //!
 //! A [`RouteBatcher`] sits between a route-emitting stage (BGP's RIB
-//! output, the RIB's FEA output) and the XRL router.  Instead of one
-//! `add_route` call per route it buffers rows and ships them as
+//! output, the RIB's FEA output) and the XRL router.  It is the only way
+//! routes leave either process: it buffers rows and ships them as
 //! `add_routes` / `delete_routes` frames, flushing when
 //!
 //! - the buffer reaches `batch_size` rows (size-based flush),
@@ -11,6 +11,10 @@
 //!   runs after all currently queued events), so a *single* route still
 //!   leaves in the same loop iteration and keeps the Fig-10 latency
 //!   shape.
+//!
+//! A batch of one is the per-route case: with `batch_size == 1` and
+//! nothing held back, `push` ships the row as a one-row frame on the spot,
+//! without touching the buffer.
 //!
 //! Ordering is preserved: rows are buffered in arrival order and a flush
 //! emits one frame per run of consecutive same-direction rows, so an
@@ -21,31 +25,86 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use xorp_event::EventLoop;
+use xorp_net::Ipv4Net;
 use xorp_profiler::tracing::{self as xtrace, SpanRecorder, TraceContext};
 use xorp_profiler::PointHandle;
 use xorp_xrl::AtomValue;
 
 use crate::xrl_ifaces::BulkRouteSink;
 
-/// One buffered route row: direction, encoded atoms, profiling payload,
-/// and the ambient trace context at push time (sampled routes only).
+/// One buffered route row: direction, prefix (for the profiling payload,
+/// formatted only when the point is enabled), encoded atoms, and the
+/// ambient trace context at push time (sampled routes only).
 struct Row {
     add: bool,
+    net: Ipv4Net,
     atoms: Vec<AtomValue>,
-    payload: String,
     trace: Option<TraceContext>,
 }
 
-struct Inner {
+/// The `"add 10.0.0.0/24"` / `"del …"` payload of the route-flow points.
+pub(crate) fn payload(add: bool, net: Ipv4Net) -> String {
+    format!("{} {net}", if add { "add" } else { "del" })
+}
+
+/// What a batcher ships through; fixed at construction.
+struct Out {
     /// The typed `add_routes`/`delete_routes` pair frames are shipped
     /// through (an interned stub of the destination interface).
     sink: BulkRouteSink,
-    batch_size: usize,
-    /// `None` flushes on idle (deferred); `Some(d)` arms a timer.
-    flush_after: Option<Duration>,
     /// Profiling point stamped per row when its frame is sent.  A
     /// pre-resolved handle: dormant stamping costs one relaxed load.
     sent_point: PointHandle,
+    /// Span recorder for the `batch` hop.  A shipped frame rides the
+    /// first traced row's context (the *carrier*) and every other traced
+    /// row coalesced into it records a fan-in link.
+    tracer: SpanRecorder,
+}
+
+impl Out {
+    /// Ship one same-direction run of rows as one frame.
+    fn ship(&self, el: &mut EventLoop, add: bool, run: &mut [Row]) {
+        // The first traced row carries the frame's context; the other
+        // traced rows coalesced into it record fan-in links so their
+        // traces keep causality instead of dead-ending at the merge.
+        let traced = run.iter().find_map(|r| r.trace).map(|ctx| {
+            for r in run.iter() {
+                if let Some(c) = r.trace {
+                    if c.trace_id != ctx.trace_id {
+                        self.tracer.fan_in(c, ctx.trace_id);
+                    }
+                }
+            }
+            let span = self.tracer.begin(ctx, "batch");
+            let prev = xtrace::set_current(Some(span.ctx));
+            (span, prev)
+        });
+        // Stamp before the send: once the frame is on the wire the peer's
+        // reader thread may stamp its arrival point first, breaking
+        // pipeline monotonicity.
+        let mut encoded = Vec::with_capacity(run.len());
+        for row in run.iter_mut() {
+            self.sent_point.record(|| payload(add, row.net));
+            encoded.push(AtomValue::List(std::mem::take(&mut row.atoms)));
+        }
+        self.sink.send(el, add, encoded);
+        if let Some((span, prev)) = traced {
+            xtrace::set_current(prev);
+            self.tracer.finish(span);
+        }
+    }
+}
+
+struct Inner {
+    out: Out,
+    batch_size: usize,
+    /// `None` flushes on idle (deferred); `Some(d)` arms a timer.
+    flush_after: Option<Duration>,
+    state: RefCell<State>,
+}
+
+#[derive(Default)]
+struct State {
     pending: Vec<Row>,
     /// A flush is already scheduled (timer or deferral) — don't stack
     /// another one per row.
@@ -53,16 +112,12 @@ struct Inner {
     /// Backpressure gate: while closed (`true`), flushes hold and rows
     /// accumulate; reopening flushes immediately.
     gated: bool,
-    /// Span recorder for the `batch` hop.  When set, a flushed frame
-    /// rides the first traced row's context (the *carrier*) and every
-    /// other traced row coalesced into it records a fan-in link.
-    tracer: Option<SpanRecorder>,
 }
 
 /// Coalesces per-route ops into `add_routes`/`delete_routes` XRL frames.
 #[derive(Clone)]
 pub struct RouteBatcher {
-    inner: Rc<RefCell<Inner>>,
+    inner: Rc<Inner>,
 }
 
 impl RouteBatcher {
@@ -71,41 +126,44 @@ impl RouteBatcher {
         batch_size: usize,
         flush_ms: u64,
         sent_point: PointHandle,
+        tracer: SpanRecorder,
     ) -> RouteBatcher {
         RouteBatcher {
-            inner: Rc::new(RefCell::new(Inner {
-                sink,
+            inner: Rc::new(Inner {
+                out: Out {
+                    sink,
+                    sent_point,
+                    tracer,
+                },
                 batch_size: batch_size.max(1),
                 flush_after: (flush_ms > 0).then(|| Duration::from_millis(flush_ms)),
-                sent_point,
-                pending: Vec::new(),
-                scheduled: false,
-                gated: false,
-                tracer: None,
-            })),
+                state: RefCell::default(),
+            }),
         }
     }
 
-    /// Attach the `batch` hop's span recorder.
-    pub fn set_tracer(&self, recorder: SpanRecorder) {
-        self.inner.borrow_mut().tracer = Some(recorder);
-    }
-
-    /// Buffer one route row; flush if the batch is full, otherwise make
-    /// sure a flush is scheduled.
-    pub fn push(&self, el: &mut EventLoop, add: bool, atoms: Vec<AtomValue>, payload: String) {
+    /// Queue one route row for `net`; flush if the batch is full,
+    /// otherwise make sure a flush is scheduled.
+    pub fn push(&self, el: &mut EventLoop, add: bool, net: Ipv4Net, atoms: Vec<AtomValue>) {
+        let mut row = Row {
+            add,
+            net,
+            atoms,
+            trace: xtrace::current(),
+        };
         let (full, arm) = {
-            let mut b = self.inner.borrow_mut();
-            b.pending.push(Row {
-                add,
-                atoms,
-                payload,
-                trace: xtrace::current(),
-            });
-            let full = b.pending.len() >= b.batch_size;
-            let arm = !full && !b.scheduled;
+            let mut s = self.inner.state.borrow_mut();
+            if self.inner.batch_size == 1 && !s.gated && s.pending.is_empty() {
+                // A batch of one: the row is the whole frame.
+                drop(s);
+                self.inner.out.ship(el, add, std::slice::from_mut(&mut row));
+                return;
+            }
+            s.pending.push(row);
+            let full = s.pending.len() >= self.inner.batch_size;
+            let arm = !full && !s.scheduled;
             if arm {
-                b.scheduled = true;
+                s.scheduled = true;
             }
             (full, arm)
         };
@@ -113,8 +171,7 @@ impl RouteBatcher {
             self.flush(el);
         } else if arm {
             let me = self.clone();
-            let after = self.inner.borrow().flush_after;
-            match after {
+            match self.inner.flush_after {
                 Some(d) => {
                     el.after(d, move |el| me.flush(el));
                 }
@@ -127,7 +184,7 @@ impl RouteBatcher {
     /// rows in the buffer (the destination lane signalled Xoff); opening
     /// the gate ships whatever accumulated.
     pub fn set_gate(&self, el: &mut EventLoop, closed: bool) {
-        self.inner.borrow_mut().gated = closed;
+        self.inner.state.borrow_mut().gated = closed;
         if !closed {
             self.flush(el);
         }
@@ -135,74 +192,35 @@ impl RouteBatcher {
 
     /// Ship everything buffered, one frame per same-direction run.
     pub fn flush(&self, el: &mut EventLoop) {
-        let (rows, sink) = {
-            let mut b = self.inner.borrow_mut();
-            b.scheduled = false;
-            if b.gated || b.pending.is_empty() {
+        let mut rows = {
+            let mut s = self.inner.state.borrow_mut();
+            s.scheduled = false;
+            if s.gated || s.pending.is_empty() {
                 return;
             }
-            (std::mem::take(&mut b.pending), b.sink.clone())
+            std::mem::take(&mut s.pending)
         };
-        let (sent_point, recorder) = {
-            let b = self.inner.borrow();
-            (b.sent_point.clone(), b.tracer.clone())
-        };
-        let mut run: Vec<Row> = Vec::new();
-        let ship = |el: &mut EventLoop, run: &mut Vec<Row>| {
-            if run.is_empty() {
-                return;
-            }
-            let add = run[0].add;
-            // The first traced row carries the frame's context; the other
-            // traced rows coalesced into it record fan-in links so their
-            // traces keep causality instead of dead-ending at the merge.
-            let carrier = run.iter().find_map(|r| r.trace);
-            let mut span = None;
-            let prev = carrier.map(|ctx| {
-                let child = match &recorder {
-                    Some(t) => {
-                        for r in run.iter() {
-                            if let Some(c) = r.trace {
-                                if c.trace_id != ctx.trace_id {
-                                    t.fan_in(c, ctx.trace_id);
-                                }
-                            }
-                        }
-                        let s = t.begin(ctx, "batch");
-                        let child = s.ctx;
-                        span = Some(s);
-                        child
-                    }
-                    None => ctx,
-                };
-                xtrace::set_current(Some(child))
-            });
-            let mut encoded = Vec::with_capacity(run.len());
-            for row in run.drain(..) {
-                sent_point.record(|| row.payload.clone());
-                encoded.push(AtomValue::List(row.atoms));
-            }
-            sink.send(el, add, encoded);
-            if let Some(p) = prev {
-                xtrace::set_current(p);
-            }
-            if let (Some(s), Some(t)) = (span, &recorder) {
-                t.finish(s);
-            }
-        };
-        for row in rows {
-            if let Some(last) = run.last() {
-                if last.add != row.add {
-                    ship(el, &mut run);
-                }
-            }
-            run.push(row);
+        let mut start = 0;
+        while start < rows.len() {
+            let add = rows[start].add;
+            let end = rows[start..]
+                .iter()
+                .position(|r| r.add != add)
+                .map_or(rows.len(), |n| start + n);
+            self.inner.out.ship(el, add, &mut rows[start..end]);
+            start = end;
         }
-        ship(el, &mut run);
+        // Hand the emptied buffer back so the next batch reuses its
+        // allocation.
+        rows.clear();
+        let mut s = self.inner.state.borrow_mut();
+        if s.pending.is_empty() {
+            s.pending = rows;
+        }
     }
 
     /// Rows currently buffered (test observability).
     pub fn pending_count(&self) -> usize {
-        self.inner.borrow().pending.len()
+        self.inner.state.borrow().pending.len()
     }
 }

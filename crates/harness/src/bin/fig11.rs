@@ -2,7 +2,7 @@
 //! probes on the SAME peering that supplied the table.
 //!
 //! Usage: `fig11 [--routes N] [--probes N] [--batch-size N]
-//! [--batch-flush-ms N]` (default 146515 routes, per-route XRLs)
+//! [--batch-flush-ms N]` (default 146515 routes, one route per XRL frame)
 
 use xorp_harness::figures::latency_experiment_opts;
 

@@ -3,7 +3,7 @@
 //! (the alternatives comparison in the decision process).
 //!
 //! Usage: `fig12 [--routes N] [--probes N] [--batch-size N]
-//! [--batch-flush-ms N]` (default 146515 routes, per-route XRLs)
+//! [--batch-flush-ms N]` (default 146515 routes, one route per XRL frame)
 
 use xorp_harness::figures::latency_experiment_opts;
 

@@ -131,10 +131,8 @@ fn main() {
     );
 
     // ---- end-to-end percentiles over complete traces ------------------
-    // At batch 1 the per-route path skips the batcher, so no `batch` hop.
     let full_chain: BTreeSet<String> = ["bgp_in", "fanout", "batch", "rib", "fea"]
         .iter()
-        .filter(|h| batch > 1 || **h != "batch")
         .map(|s| s.to_string())
         .collect();
     let mut e2e: Vec<u64> = Vec::new();

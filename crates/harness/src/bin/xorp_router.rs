@@ -157,7 +157,7 @@ fn parse_fault_flags(args: &[String]) -> Option<FaultConfig> {
 }
 
 /// Parse `--batch-size N` and `--batch-flush-ms N` (defaults 1 and 0 —
-/// the per-route pipeline with no timer).
+/// one route per XRL frame, no timer).
 fn parse_batch_flags(args: &[String]) -> (usize, u64) {
     let value_of = |flag: &str| -> Option<&str> {
         args.iter()
@@ -406,7 +406,6 @@ fn main() {
         overload,
         rib_delay_ms: 0,
         down_peers: vec![],
-        wire_v1_only: None,
     });
 
     // Static routes from the config go in via the RIB (through BGP's

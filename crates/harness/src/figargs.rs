@@ -24,8 +24,8 @@ pub fn parse(default_routes: usize) -> (u32, usize) {
     (probes, routes)
 }
 
-/// Parse the batched-pipeline knobs: `--batch-size N` (default 1 —
-/// per-route XRLs) and `--batch-flush-ms N` (default 0 — flush on loop
+/// Parse the batched-pipeline knobs: `--batch-size N` (default 1 — one
+/// route per XRL frame) and `--batch-flush-ms N` (default 0 — flush on loop
 /// idle).
 pub fn parse_batch() -> (usize, u64) {
     let args: Vec<String> = std::env::args().collect();

@@ -62,7 +62,7 @@ pub fn latency_experiment(
 
 /// [`latency_experiment`] with the batched-pipeline knobs exposed:
 /// `batch_size` routes per `add_routes`/`delete_routes` XRL frame
-/// (1 = per-route `add_route` calls), `batch_flush_ms` for time-based
+/// (1 = one route per frame), `batch_flush_ms` for time-based
 /// partial flushes (0 = flush on loop idle).
 pub fn latency_experiment_opts(
     title: &str,

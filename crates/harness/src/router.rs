@@ -5,10 +5,16 @@
 //!
 //! ```text
 //! apply_update ──[1 BGP_IN]── BGP pipeline ──[2 QUEUED_FOR_RIB]──
-//!   XRL rib/1.0/add_route ──[3 SENT_TO_RIB]──(tcp)──[4 RIB_IN]──
-//!   RIB stages ──[5 QUEUED_FOR_FEA]── XRL fea/1.0/add_route
-//!   ──[6 SENT_TO_FEA]──(tcp)──[7 FEA_IN]── FIB insert [8 KERNEL]
+//!   RouteBatcher ──[3 SENT_TO_RIB]── XRL rib/1.0/add_routes ──(tcp)──
+//!   [4 RIB_IN]── RIB stages ──[5 QUEUED_FOR_FEA]── RouteBatcher
+//!   ──[6 SENT_TO_FEA]── XRL fea/1.0/add_routes ──(tcp)──[7 FEA_IN]──
+//!   FIB insert [8 KERNEL]
 //! ```
+//!
+//! Both hops have one route path: every route leaves through a
+//! [`RouteBatcher`] as a row of an `add_routes`/`delete_routes` frame, and
+//! the RIB applies every frame with `Rib::apply_batch`.  At
+//! [`RouterOptions::batch_size`] 1 each frame carries one route.
 //!
 //! ## Supervision
 //!
@@ -49,11 +55,11 @@ use xorp_stages::RouteOp;
 use xorp_xrl::keepalive;
 use xorp_xrl::profile::add_profile_responder;
 use xorp_xrl::{
-    AtomValue, CongestionSignal, FaultConfig, Finder, QueuePolicy, RetTuple, RetryPolicy,
-    TypedResponder, XrlError, XrlRouter,
+    AtomValue, CongestionSignal, FaultConfig, Finder, QueuePolicy, RetryPolicy, TypedResponder,
+    XrlError, XrlRouter,
 };
 
-use crate::batch::RouteBatcher;
+use crate::batch::{self, RouteBatcher};
 use crate::process::Process;
 use crate::workload::BackboneRoute;
 use crate::xrl_ifaces::{self, BulkRouteSink, RouteWire};
@@ -114,8 +120,11 @@ pub struct RouterOptions {
     /// `None` keeps the PR-1 behaviour (death flushes immediately).
     pub supervision: Option<SupervisorConfig>,
     /// Batch up to this many routes into one `add_routes`/`delete_routes`
-    /// XRL on the BGP→RIB and RIB→FEA hops.  `1` (the default) keeps the
-    /// per-route `add_route`/`delete_route` path verbatim.
+    /// XRL on the BGP→RIB and RIB→FEA hops.  `1` (the default, the §8.2
+    /// configuration) sends every route in a frame of its own, the moment
+    /// it is emitted.  At any size, rows held back while the destination
+    /// lane is congested leave together, one frame per direction run, once
+    /// it drains.
     pub batch_size: usize,
     /// Time-based flush for partial batches, in milliseconds.  `0` flushes
     /// on event-loop idle instead, so a lone route still leaves in the
@@ -130,11 +139,6 @@ pub struct RouterOptions {
     /// models a busy RIB for the overload experiments.  `0` replies
     /// inline.
     pub rib_delay_ms: u64,
-    /// Pin the named process ("bgp", "rib" or "fea") to the v1 named wire
-    /// encoding, modelling a pre-v2 build in an otherwise-upgraded router:
-    /// it neither advertises signatures nor emits positional frames, and
-    /// its peers negotiate back to v1 on the affected hops.
-    pub wire_v1_only: Option<&'static str>,
 }
 
 impl Default for RouterOptions {
@@ -152,7 +156,6 @@ impl Default for RouterOptions {
             batch_flush_ms: 0,
             overload: None,
             rib_delay_ms: 0,
-            wire_v1_only: None,
         }
     }
 }
@@ -255,8 +258,7 @@ impl xrl_ifaces::bgp::Server for BgpServer {
     }
 }
 
-/// The FEA process's `fea/1.0` server: FIB edits, per-route and
-/// vectorized.
+/// The FEA process's `fea/1.0` server: FIB edits.
 struct FeaServer {
     fea: Rc<RefCell<Fea>>,
     fea_in: PointHandle,
@@ -273,7 +275,7 @@ impl FeaServer {
     }
 
     fn install(&self, w: RouteWire) {
-        self.fea_in.record(|| format!("add {}", w.net));
+        self.fea_in.record(|| batch::payload(true, w.net));
         self.fea.borrow_mut().add_route4(FibEntry {
             net: w.net,
             nexthop: IpAddr::V4(w.nexthop),
@@ -284,6 +286,11 @@ impl FeaServer {
             },
             metric: w.metric,
         }); // stamps KERNEL
+    }
+
+    fn delete(&self, net: Ipv4Net) {
+        self.fea_in.record(|| batch::payload(false, net));
+        self.fea.borrow_mut().delete_route4(&net);
     }
 }
 
@@ -309,13 +316,12 @@ impl xrl_ifaces::fea::Server for FeaServer {
     }
 
     fn delete_route(&self, el: &mut EventLoop, net: Ipv4Net, responder: TypedResponder<()>) {
-        self.fea_in.record(|| format!("del {net}"));
-        self.fea.borrow_mut().delete_route4(&net);
+        self.delete(net);
         responder.ok(el, ());
     }
 
-    // Vectorized twins of add_route/delete_route — N FIB edits per
-    // frame.  All rows are validated before any is applied.
+    // The router's route path: N FIB edits per frame (N = 1 at batch
+    // size 1).  All rows are validated before any is applied.
     fn add_routes(
         &self,
         el: &mut EventLoop,
@@ -346,8 +352,7 @@ impl xrl_ifaces::fea::Server for FeaServer {
         };
         let n = parsed.len() as u32;
         for (net, _proto) in parsed {
-            self.fea_in.record(|| format!("del {net}"));
-            self.fea.borrow_mut().delete_route4(&net);
+            self.delete(net);
         }
         responder.ok(el, (n,));
     }
@@ -358,7 +363,7 @@ impl xrl_ifaces::fea::Server for FeaServer {
 }
 
 /// The RIB process's `rib/1.0` server.  Route edits go through
-/// [`RibServer::reply`], which models a busy RIB for the overload
+/// [`RibServer::apply`], which models a busy RIB for the overload
 /// experiments: XRLs are applied on arrival but acknowledged only after
 /// `delay`, so the sender sees a slow consumer and its lane backs up.
 struct RibServer {
@@ -389,12 +394,29 @@ impl RibServer {
             self.recorder.finish(span);
         }
     }
-    fn reply<R: RetTuple>(
+    /// Apply one decoded frame (or reject it whole) and reply — after
+    /// `delay` when the busy-RIB model is on: the frame is applied on
+    /// arrival but acknowledged late, so the sender sees a slow consumer
+    /// and its lane backs up.
+    fn apply(
         &self,
         el: &mut EventLoop,
-        responder: TypedResponder<R>,
-        reply: Result<R, XrlError>,
+        ops: Result<Vec<BatchOp<Ipv4Addr>>, XrlError>,
+        responder: TypedResponder<()>,
     ) {
+        let reply = ops.map(|ops| {
+            for op in &ops {
+                match op {
+                    BatchOp::Add(r) => self.rib_in.record(|| batch::payload(true, r.net)),
+                    BatchOp::Delete { net, .. } => {
+                        self.rib_in.record(|| batch::payload(false, *net))
+                    }
+                }
+            }
+            let traced = self.begin_span();
+            self.rib.borrow_mut().apply_batch(el, ops);
+            self.end_span(traced);
+        });
         match self.delay {
             Some(d) => {
                 el.after(d, move |el| responder.reply(el, reply));
@@ -415,90 +437,43 @@ impl RibServer {
 }
 
 impl xrl_ifaces::rib::Server for RibServer {
-    fn add_route(
-        &self,
-        el: &mut EventLoop,
-        net: Ipv4Net,
-        nexthop: Ipv4Addr,
-        ifname: String,
-        metric: u32,
-        proto: String,
-        responder: TypedResponder<()>,
-    ) {
-        self.rib_in.record(|| format!("add {net}"));
-        let proto = ProtocolId::from_name(&proto).unwrap_or(ProtocolId::Ebgp);
-        let route = Self::entry(RouteWire {
-            net,
-            nexthop,
-            ifname,
-            metric,
-            proto,
-        });
-        let traced = self.begin_span();
-        self.rib.borrow_mut().add_route(el, route);
-        self.end_span(traced);
-        self.reply(el, responder, Ok(()));
-    }
-
-    fn delete_route(
-        &self,
-        el: &mut EventLoop,
-        net: Ipv4Net,
-        proto: String,
-        responder: TypedResponder<()>,
-    ) {
-        self.rib_in.record(|| format!("del {net}"));
-        let proto = ProtocolId::from_name(&proto).unwrap_or(ProtocolId::Ebgp);
-        let traced = self.begin_span();
-        self.rib.borrow_mut().delete_route(el, proto, net);
-        self.end_span(traced);
-        self.reply(el, responder, Ok(()));
-    }
-
-    // Vectorized twins: N routes per frame, applied through
-    // Rib::apply_batch (one resolve/redistribution pass).  Row
-    // validation is transactional — a malformed row rejects the whole
-    // frame before any route is applied.
+    // Every route edit arrives here: N routes per frame (N = 1 at batch
+    // size 1), applied through Rib::apply_batch (one resolve /
+    // redistribution pass).  Row validation is transactional — a
+    // malformed row rejects the whole frame before any route is applied.
     fn add_routes(
         &self,
         el: &mut EventLoop,
         routes: Vec<AtomValue>,
-        responder: TypedResponder<(u32,)>,
+        responder: TypedResponder<()>,
     ) {
-        let parsed = match xrl_ifaces::decode_add_rows(&routes) {
-            Ok(p) => p,
-            Err(e) => return self.reply(el, responder, Err(e)),
-        };
-        let mut ops = Vec::with_capacity(parsed.len());
-        for w in parsed {
-            self.rib_in.record(|| format!("add {}", w.net));
-            ops.push(BatchOp::Add(Self::entry(w)));
-        }
-        let traced = self.begin_span();
-        let n = self.rib.borrow_mut().apply_batch(el, ops);
-        self.end_span(traced);
-        self.reply(el, responder, Ok((n as u32,)));
+        let ops = routes
+            .iter()
+            .enumerate()
+            .map(|(i, row)| {
+                Ok(BatchOp::Add(Self::entry(xrl_ifaces::decode_add_row(
+                    i, row,
+                )?)))
+            })
+            .collect();
+        self.apply(el, ops, responder);
     }
 
     fn delete_routes(
         &self,
         el: &mut EventLoop,
         routes: Vec<AtomValue>,
-        responder: TypedResponder<(u32,)>,
+        responder: TypedResponder<()>,
     ) {
-        let parsed = match xrl_ifaces::decode_delete_rows(&routes) {
-            Ok(p) => p,
-            Err(e) => return self.reply(el, responder, Err(e)),
-        };
-        let mut ops = Vec::with_capacity(parsed.len());
-        for (net, proto) in parsed {
-            self.rib_in.record(|| format!("del {net}"));
-            ops.push(BatchOp::Delete { proto, net });
-        }
-        let traced = self.begin_span();
-        let n = self.rib.borrow_mut().apply_batch(el, ops);
-        self.end_span(traced);
-        self.reply(el, responder, Ok((n as u32,)));
+        let ops = routes
+            .iter()
+            .enumerate()
+            .map(|(i, row)| {
+                let (net, proto) = xrl_ifaces::decode_delete_row(i, row)?;
+                Ok(BatchOp::Delete { proto, net })
+            })
+            .collect();
+        self.apply(el, ops, responder);
     }
 
     fn register_interest(
@@ -552,7 +527,6 @@ struct BgpFactory {
     crash_on_spawn: Arc<AtomicU32>,
     batch_size: usize,
     batch_flush_ms: u64,
-    wire_v1_only: bool,
 }
 
 impl BgpFactory {
@@ -570,10 +544,8 @@ impl BgpFactory {
         let crash_on_spawn = self.crash_on_spawn.clone();
         let batch_size = self.batch_size;
         let batch_flush_ms = self.batch_flush_ms;
-        let wire_v1_only = self.wire_v1_only;
         Process::spawn("bgp", self.finder.clone(), move |el, router| {
             knobs(router);
-            router.set_wire_v1_only(wire_v1_only);
             router.set_metrics(&metrics);
             el.set_metrics(&metrics);
             let config = BgpConfig {
@@ -587,84 +559,41 @@ impl BgpFactory {
             bgp.set_tracer(tracer.recorder("bgp"));
             bgp.set_metrics(&metrics);
 
-            // Best routes → RIB over typed `rib/1.0` stubs (points 2 and
-            // 3).  The client interns every method once; per-route sends
-            // do no path hashing and negotiate the positional wire.
+            // Best routes → RIB as `rib/1.0/add_routes`/`delete_routes`
+            // rows through the batcher (points 2 and 3).  The typed stub
+            // interns every method once; per-route sends do no path
+            // hashing.
             let queued_rib = profiler.point(points::QUEUED_FOR_RIB);
-            let sent_rib = profiler.point(points::SENT_TO_RIB);
-            let rib_client = xrl_ifaces::rib::Client::new(router, "rib");
-            let batcher = (batch_size > 1).then(|| {
-                let b = RouteBatcher::new(
-                    BulkRouteSink::rib(&rib_client),
-                    batch_size,
-                    batch_flush_ms,
-                    sent_rib.clone(),
-                );
-                b.set_tracer(tracer.recorder("bgp"));
-                b
-            });
+            let batcher = RouteBatcher::new(
+                BulkRouteSink::rib(&xrl_ifaces::rib::Client::new(router, "rib")),
+                batch_size,
+                batch_flush_ms,
+                profiler.point(points::SENT_TO_RIB),
+                tracer.recorder("bgp"),
+            );
             // Fanout delivery re-establishes a sampled route's context;
-            // stamp the hop and thread the child context into the batcher
-            // (or straight onto the per-route wire).
+            // stamp the hop and thread the child context into the batcher.
             let fanout_rec = tracer.recorder("bgp");
-            if let Some(batcher) = batcher.clone() {
-                // Batched pipeline: coalesce fanout pumps, then ship
-                // vectorized add_routes/delete_routes frames.
-                bgp.set_coalesce(batch_size);
-                bgp.set_rib_output(el, move |el, _origin, op| {
-                    let trace_prev = xtrace::current()
-                        .map(|ctx| xtrace::set_current(Some(fanout_rec.instant(ctx, "fanout"))));
-                    let net = op.net();
-                    let (add, row, what) = match &op {
-                        RouteOp::Add { route, .. } | RouteOp::Replace { new: route, .. } => {
-                            (true, xrl_ifaces::add_row(net, route), "add")
-                        }
-                        RouteOp::Delete { old, .. } => {
-                            (false, xrl_ifaces::delete_row(net, Some(old.proto)), "del")
-                        }
-                    };
-                    let payload = format!("{what} {net}");
-                    queued_rib.record(|| payload.clone());
-                    batcher.push(el, add, row, payload);
-                    if let Some(prev) = trace_prev {
-                        xtrace::set_current(prev);
+            bgp.set_coalesce(batch_size);
+            let out = batcher.clone();
+            bgp.set_rib_output(el, move |el, _origin, op| {
+                let trace_prev = xtrace::current()
+                    .map(|ctx| xtrace::set_current(Some(fanout_rec.instant(ctx, "fanout"))));
+                let net = op.net();
+                let (add, row) = match &op {
+                    RouteOp::Add { route, .. } | RouteOp::Replace { new: route, .. } => {
+                        (true, xrl_ifaces::add_row(net, route))
                     }
-                });
-            } else {
-                bgp.set_rib_output(el, move |el, _origin, op| {
-                    let trace_prev = xtrace::current()
-                        .map(|ctx| xtrace::set_current(Some(fanout_rec.instant(ctx, "fanout"))));
-                    let net = op.net();
-                    match &op {
-                        RouteOp::Add { route, .. } | RouteOp::Replace { new: route, .. } => {
-                            let w = RouteWire::from_entry(net, route);
-                            queued_rib.record(|| format!("add {net}"));
-                            // Stamp before the send: once the frame is on the
-                            // wire the peer's reader thread may stamp its
-                            // arrival point first, breaking pipeline
-                            // monotonicity.
-                            sent_rib.record(|| format!("add {net}"));
-                            rib_client.add_route(
-                                el,
-                                w.net,
-                                w.nexthop,
-                                w.ifname,
-                                w.metric,
-                                w.proto.name(),
-                                |_el, _res| {},
-                            );
-                        }
-                        RouteOp::Delete { old, .. } => {
-                            queued_rib.record(|| format!("del {net}"));
-                            sent_rib.record(|| format!("del {net}"));
-                            rib_client.delete_route(el, net, old.proto.name(), |_el, _res| {});
-                        }
+                    RouteOp::Delete { old, .. } => {
+                        (false, xrl_ifaces::delete_row(net, Some(old.proto)))
                     }
-                    if let Some(prev) = trace_prev {
-                        xtrace::set_current(prev);
-                    }
-                });
-            }
+                };
+                queued_rib.record(|| batch::payload(add, net));
+                out.push(el, add, net, row);
+                if let Some(prev) = trace_prev {
+                    xtrace::set_current(prev);
+                }
+            });
 
             for (id, asn) in peers {
                 let mut cfg = PeerConfig::simple(PeerId(id), xorp_net::AsNum(asn));
@@ -706,9 +635,8 @@ impl BgpFactory {
                 .set_reader_gate(ReaderId::Rib, flow_gate.clone());
             let b = bgp.clone();
             let lane_router = router.clone();
-            let gate = batcher.clone();
             router.set_congestion_cb(move |el, sig| {
-                if lane_router.lane_of("rib", "rib/1.0/add_route").as_deref() != Some(sig.lane()) {
+                if lane_router.lane_of("rib", "rib/1.0/add_routes").as_deref() != Some(sig.lane()) {
                     return;
                 }
                 let ready = matches!(sig, CongestionSignal::Xon { .. });
@@ -716,11 +644,9 @@ impl BgpFactory {
                 // stops the in-progress fanout drain at the next entry.
                 flow_gate.set(ready);
                 let b = b.clone();
-                let gate = gate.clone();
+                let gate = batcher.clone();
                 el.defer(move |el| {
-                    if let Some(gate) = &gate {
-                        gate.set_gate(el, !ready);
-                    }
+                    gate.set_gate(el, !ready);
                     b.borrow_mut().set_reader_flow(el, ReaderId::Rib, ready);
                 });
             });
@@ -782,10 +708,8 @@ impl MultiProcessRouter {
         let fea_tracer = tracer.clone();
         let fea_metrics = metrics.scoped("fea");
         let knobs = apply_knobs.clone();
-        let fea_v1_only = options.wire_v1_only == Some("fea");
         let fea = Process::spawn("fea", finder.clone(), move |el, router| {
             knobs(router);
-            router.set_wire_v1_only(fea_v1_only);
             router.set_metrics(&fea_metrics);
             el.set_metrics(&fea_metrics);
             let mut fea = Fea::new();
@@ -818,10 +742,8 @@ impl MultiProcessRouter {
         let batch_size = options.batch_size;
         let batch_flush_ms = options.batch_flush_ms;
         let rib_delay = options.rib_delay_ms;
-        let rib_v1_only = options.wire_v1_only == Some("rib");
         let rib = Process::spawn("rib", finder.clone(), move |el, router| {
             knobs(router);
-            router.set_wire_v1_only(rib_v1_only);
             router.set_metrics(&rib_metrics);
             el.set_metrics(&rib_metrics);
             // Busy-RIB model for the overload experiments: route XRLs are
@@ -870,57 +792,25 @@ impl MultiProcessRouter {
             // through the hard cap and silently shed installs, leaving
             // the FIB permanently short of the RIB.
             let queued_fea = rib_profiler.point(points::QUEUED_FOR_FEA);
-            let sent_fea = rib_profiler.point(points::SENT_TO_FEA);
-            let fea_client = xrl_ifaces::fea::Client::new(router, "fea");
-            let batcher = (batch_size > 1).then(|| {
-                let b = RouteBatcher::new(
-                    BulkRouteSink::fea(&fea_client),
-                    batch_size,
-                    batch_flush_ms,
-                    sent_fea.clone(),
-                );
-                b.set_tracer(rib_tracer.recorder("rib"));
-                b
-            });
-            let sink: RedistSink<Ipv4Addr> = match batcher.clone() {
-                Some(batcher) => Rc::new(move |el, op| {
-                    let net = op.net();
-                    let (add, row, what) = match &op {
-                        RouteOp::Add { route, .. } | RouteOp::Replace { new: route, .. } => {
-                            (true, xrl_ifaces::add_row(net, route), "add")
-                        }
-                        RouteOp::Delete { .. } => (false, xrl_ifaces::delete_row(net, None), "del"),
-                    };
-                    let payload = format!("{what} {net}");
-                    queued_fea.record(|| payload.clone());
-                    batcher.push(el, add, row, payload);
-                }),
-                None => Rc::new(move |el, op| {
-                    let net = op.net();
-                    match &op {
-                        RouteOp::Add { route, .. } | RouteOp::Replace { new: route, .. } => {
-                            let w = RouteWire::from_entry(net, route);
-                            queued_fea.record(|| format!("add {net}"));
-                            // Stamp before the send (see the RIB-ward path
-                            // above).
-                            sent_fea.record(|| format!("add {net}"));
-                            fea_client.add_route(
-                                el,
-                                w.net,
-                                w.nexthop,
-                                w.ifname,
-                                w.metric,
-                                |_el, _r| {},
-                            );
-                        }
-                        RouteOp::Delete { .. } => {
-                            queued_fea.record(|| format!("del {net}"));
-                            sent_fea.record(|| format!("del {net}"));
-                            fea_client.delete_route(el, net, |_el, _r| {});
-                        }
+            let batcher = RouteBatcher::new(
+                BulkRouteSink::fea(&xrl_ifaces::fea::Client::new(router, "fea")),
+                batch_size,
+                batch_flush_ms,
+                rib_profiler.point(points::SENT_TO_FEA),
+                rib_tracer.recorder("rib"),
+            );
+            let out = batcher.clone();
+            let sink: RedistSink<Ipv4Addr> = Rc::new(move |el, op| {
+                let net = op.net();
+                let (add, row) = match &op {
+                    RouteOp::Add { route, .. } | RouteOp::Replace { new: route, .. } => {
+                        (true, xrl_ifaces::add_row(net, route))
                     }
-                }),
-            };
+                    RouteOp::Delete { .. } => (false, xrl_ifaces::delete_row(net, None)),
+                };
+                queued_fea.record(|| batch::payload(add, net));
+                out.push(el, add, net, row);
+            });
             rib.borrow_mut().add_redist_watcher(
                 el,
                 RedistWatcher::new("fea", None, FilterBank::accept_by_default(), sink),
@@ -935,10 +825,9 @@ impl MultiProcessRouter {
                 .redist_watcher_flow("fea")
                 .expect("fea watcher just added");
             let lane_router = router.clone();
-            let gate = batcher.clone();
             let r = rib.clone();
             router.set_congestion_cb(move |el, sig| {
-                if lane_router.lane_of("fea", "fea/1.0/add_route").as_deref() != Some(sig.lane()) {
+                if lane_router.lane_of("fea", "fea/1.0/add_routes").as_deref() != Some(sig.lane()) {
                     return;
                 }
                 let ready = matches!(sig, CongestionSignal::Xon { .. });
@@ -947,9 +836,8 @@ impl MultiProcessRouter {
                 }
                 let r = r.clone();
                 el.defer(move |el| r.borrow_mut().set_redist_watcher_flow(el, "fea", ready));
-                if let Some(gate) = gate.clone() {
-                    el.defer(move |el| gate.set_gate(el, !ready));
-                }
+                let gate = batcher.clone();
+                el.defer(move |el| gate.set_gate(el, !ready));
             });
 
             // Pre-install the connected route BGP nexthops resolve via.
@@ -1008,7 +896,6 @@ impl MultiProcessRouter {
             crash_on_spawn: crash_on_spawn.clone(),
             batch_size: options.batch_size,
             batch_flush_ms: options.batch_flush_ms,
-            wire_v1_only: options.wire_v1_only == Some("bgp"),
         });
         let bgp: SharedBgp = Arc::new(Mutex::new(Some(factory.spawn())));
 
@@ -1397,7 +1284,7 @@ impl MultiProcessRouter {
                 .call(|el| {
                     el.slot::<XrlRouter>()
                         .map(|r| {
-                            r.lane_of("rib", "rib/1.0/add_route")
+                            r.lane_of("rib", "rib/1.0/add_routes")
                                 .map(|lane| r.lane_depth(&lane))
                                 .unwrap_or(0)
                         })

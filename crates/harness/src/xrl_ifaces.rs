@@ -1,15 +1,14 @@
 //! The harness router's XRL interfaces, declared once with
 //! [`xorp_xrl::xrl_interface!`] — the single source of truth for the
 //! typed client stubs, the server traits, the dispatch tables, and the
-//! wire-v2 signature hashes of the `rib/1.0`, `fea/1.0` and `bgp/1.0`
-//! surfaces.
+//! wire-v2 method ids of the `rib/1.0`, `fea/1.0` and `bgp/1.0` surfaces.
 //!
 //! Alongside the interfaces lives the shared **route codec**: the one
-//! place that knows how a route crosses the wire, both as the positional
-//! arguments of `add_route`/`delete_route` and as the row layout inside
-//! the vectorized `add_routes`/`delete_routes` frames.  BGP→RIB and
-//! RIB→FEA use the same encoding; previously each hop carried its own
-//! copy of these helpers.
+//! place that knows how a route crosses the wire, as the row layout
+//! inside the vectorized `add_routes`/`delete_routes` frames.  Both route
+//! hops (BGP→RIB and RIB→FEA) send every route as such a row, through a
+//! [`crate::batch::RouteBatcher`]; at batch size 1 a frame carries one
+//! row.
 
 use std::net::{IpAddr, Ipv4Addr};
 use std::rc::Rc;
@@ -19,14 +18,15 @@ use xorp_net::{Ipv4Net, ProtocolId, RouteEntry};
 use xorp_xrl::{xrl_interface, AtomValue, XrlError};
 
 xrl_interface! {
-    /// The RIB's route surface: per-route and vectorized edits, nexthop
-    /// interest registration (§5.1.1), and the supervision hooks
-    /// (`flush_protocol`, `stale_count`).
+    /// The RIB's route surface: vectorized edits (one or more route rows
+    /// per frame), nexthop interest registration (§5.1.1), and the
+    /// supervision hooks (`flush_protocol`, `stale_count`).  Route edits
+    /// reply with nothing, as no sender reads a count back: at batch size
+    /// 1 that keeps every reply frame, and every reply the receiver keeps
+    /// for retransmission replay, free of a per-route allocation.
     pub interface rib("rib", "1.0") {
-        fn add_route(net: Ipv4Net, nexthop: Ipv4Addr, ifname: String, metric: u32, proto: String);
-        fn delete_route(net: Ipv4Net, proto: String);
-        fn add_routes(routes: Vec<AtomValue>) -> (count: u32);
-        fn delete_routes(routes: Vec<AtomValue>) -> (count: u32);
+        fn add_routes(routes: Vec<AtomValue>);
+        fn delete_routes(routes: Vec<AtomValue>);
         fn register_interest(addr: Ipv4Addr) -> (valid: Ipv4Net, reachable: bool, metric: u32);
         fn route_count() -> (count: u32);
         fn flush_protocol(proto: String);
@@ -36,7 +36,9 @@ xrl_interface! {
 
 xrl_interface! {
     /// The FEA's FIB surface.  The FEA keys its FIB purely by prefix, so
-    /// deletions carry no protocol.
+    /// deletions carry no protocol.  The router sends only
+    /// `add_routes`/`delete_routes`; the per-route `add_route` and
+    /// `delete_route` stay callable for external clients of the FIB.
     pub interface fea("fea", "1.0") {
         fn add_route(net: Ipv4Net, nexthop: Ipv4Addr, ifname: String, metric: u32);
         fn delete_route(net: Ipv4Net);
@@ -55,8 +57,8 @@ xrl_interface! {
     }
 }
 
-/// A route as it crosses the wire: the decoded form of one
-/// `add_route` argument set or one `add_routes` row.
+/// A route as it crosses the wire: the decoded form of one `add_routes`
+/// row (or of `fea/1.0/add_route`'s arguments).
 pub struct RouteWire {
     pub net: Ipv4Net,
     pub nexthop: Ipv4Addr,
@@ -83,8 +85,7 @@ impl RouteWire {
 }
 
 /// Encode a route into one batched-XRL row: `[net, nexthop, ifname,
-/// metric, proto]` — the positional twin of the `add_route` argument
-/// list.  FEA-side decoding ignores the trailing `proto`.
+/// metric, proto]`.  FEA-side decoding ignores the trailing `proto`.
 pub fn add_row(net: Ipv4Net, route: &RouteEntry<Ipv4Addr>) -> Vec<AtomValue> {
     let w = RouteWire::from_entry(net, route);
     vec![

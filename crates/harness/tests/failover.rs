@@ -4,9 +4,12 @@
 //! (§4.1 — the RIB hears the death through its class watch and withdraws
 //! every route the dead protocol originated).
 
+use std::collections::BTreeSet;
 use std::time::Duration;
 
+use xorp_harness::stats::{covered_hops, stitch_spans};
 use xorp_harness::{backbone_table, test_route, MultiProcessRouter, RouterOptions, WorkloadConfig};
+use xorp_profiler::tracing::Span;
 use xorp_xrl::FaultConfig;
 
 /// One watchdog period in `crates/harness/src/process.rs` is 100 ms; wait
@@ -73,6 +76,71 @@ fn finder_restart_reregisters_and_bgp_death_withdraws_routes() {
         "dead protocol's routes were not withdrawn (rib={}, fea={})",
         router.rib_route_count(),
         router.fea_route_count()
+    );
+    router.stop();
+}
+
+/// A Finder restart must not change how the typed hops talk: wire-v2
+/// method ids come from the interface declarations, not from Finder
+/// state, so once the watchdogs have repaired the registrations a sampled
+/// route's context still rides every hop and its trace covers the whole
+/// bgp_in → fanout → batch → rib → fea chain.
+#[test]
+fn traces_cover_every_hop_after_finder_restart() {
+    let router = MultiProcessRouter::new(RouterOptions {
+        batch_size: 8,
+        ..Default::default()
+    });
+    let nexthop = "192.168.1.1".parse().unwrap();
+    router.announce_one(1, test_route(0), nexthop);
+    assert!(
+        router.wait_for(Duration::from_secs(10), || router.fea_route_count() == 2),
+        "initial route never converged (fea={})",
+        router.fea_route_count()
+    );
+
+    router.kill_finder();
+    assert!(
+        router.wait_for(REPAIR_WINDOW, || {
+            ["bgp", "rib", "fea"]
+                .iter()
+                .all(|c| router.finder.instances_of(c).len() == 1)
+        }),
+        "targets did not re-register after Finder restart"
+    );
+    // One more watchdog period: every router has flushed its resolve
+    // cache by then, so the next sends resolve against the new Finder.
+    std::thread::sleep(Duration::from_millis(300));
+
+    router.tracer.set_sampling(1);
+    router.announce_one(1, test_route(1), nexthop);
+    assert!(
+        router.wait_for(Duration::from_secs(10), || router.fea_route_count() == 3),
+        "route after Finder restart never reached the FIB (fea={})",
+        router.fea_route_count()
+    );
+
+    let full_chain: BTreeSet<String> = ["bgp_in", "fanout", "batch", "rib", "fea"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    let mut seen = Vec::new();
+    let complete = router.wait_for(Duration::from_secs(10), || {
+        let mut all: Vec<Span> = Vec::new();
+        for p in ["bgp", "rib", "fea"] {
+            all.extend(router.tracer.snapshot(p));
+        }
+        let views = stitch_spans(all);
+        seen = views
+            .iter()
+            .filter(|v| v.is_root())
+            .map(|v| covered_hops(&views, v.trace_id))
+            .collect();
+        seen.iter().any(|hops| hops.is_superset(&full_chain))
+    });
+    assert!(
+        complete,
+        "no trace covered the full chain; hops seen: {seen:?}"
     );
     router.stop();
 }

@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use xorp_harness::{backbone_table, test_route, MultiProcessRouter, RouterOptions, WorkloadConfig};
-use xorp_profiler::points;
+use xorp_profiler::{points, MetricValue};
 
 #[test]
 fn route_reaches_kernel_with_all_profiling_points() {
@@ -49,6 +49,45 @@ fn route_reaches_kernel_with_all_profiling_points() {
         assert!(w[1] >= w[0], "{stamps:?}");
     }
     assert!(router.rib_violations().is_empty());
+    router.stop();
+}
+
+/// One route path: at batch size 1 a route still crosses BGP→RIB as a
+/// one-row `rib/1.0/add_routes` frame (the interface has no per-route
+/// method left) and the RIB applies it through `Rib::apply_batch`, whose
+/// `batch_size` histogram records one one-op batch per route edit.
+#[test]
+fn batch_of_one_travels_the_batched_path() {
+    let iface = xorp_harness::xrl_ifaces::rib::interface();
+    assert!(iface.find("add_routes").is_some() && iface.find("delete_routes").is_some());
+    assert!(iface.find("add_route").is_none() && iface.find("delete_route").is_none());
+
+    let router = MultiProcessRouter::new(RouterOptions {
+        batch_size: 1,
+        ..Default::default()
+    });
+    let batches = || match router.metrics.get("rib.batch_size") {
+        Some(MetricValue::Histogram(h)) => (h.count, h.sum, h.max),
+        _ => (0, 0, 0),
+    };
+    router.announce_one(1, test_route(0), "192.168.1.1".parse().unwrap());
+    assert!(
+        router.wait_for(Duration::from_secs(10), || router.fea_route_count() == 2),
+        "route never reached the FIB (fea={})",
+        router.fea_route_count()
+    );
+    router.withdraw_one(1, test_route(0));
+    assert!(
+        router.wait_for(Duration::from_secs(10), || router.fea_route_count() == 1),
+        "withdrawal never reached the FIB (fea={})",
+        router.fea_route_count()
+    );
+    // The announcement and the withdrawal: two batches of one op each.
+    assert!(
+        router.wait_for(Duration::from_secs(10), || batches() == (2, 2, 1)),
+        "rib.batch_size (count, sum, max) = {:?}, want (2, 2, 1)",
+        batches()
+    );
     router.stop();
 }
 

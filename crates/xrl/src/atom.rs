@@ -298,6 +298,14 @@ impl XrlArgs {
         XrlArgs::default()
     }
 
+    /// An empty argument block with room for `n` atoms.
+    pub fn with_capacity(n: usize) -> XrlArgs {
+        XrlArgs {
+            atoms: Vec::with_capacity(n),
+            context: None,
+        }
+    }
+
     /// The atoms in order.
     pub fn atoms(&self) -> &[XrlAtom] {
         &self.atoms
@@ -355,18 +363,6 @@ impl XrlArgs {
         });
     }
 
-    /// Label unnamed atoms with `names`, by position.  Used when a
-    /// positionally-built argument block must fall back to the v1 named
-    /// encoding for a peer without signature negotiation.  Atoms that
-    /// already carry a name, and positions past `names`, are left alone.
-    pub fn label_names(&mut self, names: &[&'static str]) {
-        for (a, n) in self.atoms.iter_mut().zip(names) {
-            if a.name.is_empty() {
-                a.name = (*n).to_string();
-            }
-        }
-    }
-
     /// Find a value by name.
     pub fn find(&self, name: &str) -> Option<&AtomValue> {
         self.atoms.iter().find(|a| a.name == name).map(|a| &a.value)
@@ -390,6 +386,33 @@ impl XrlArgs {
                 self.ctx_prefix(),
                 T::TYPE.tag(),
                 value.atom_type().tag()
+            ))
+        })
+    }
+
+    /// Like [`XrlArgs::get_arg`], but moves the value out of the block
+    /// instead of cloning it (the atom is left holding a placeholder).
+    /// Generated dispatch wrappers own the decoded frame and take each
+    /// argument exactly once.
+    pub fn take_arg<T: AtomCodec>(&mut self, idx: usize, name: &str) -> Result<T, XrlError> {
+        let slot = match self.atoms.get(idx).filter(|a| a.name.is_empty()) {
+            Some(_) => idx,
+            None => self
+                .atoms
+                .iter()
+                .position(|a| a.name == name)
+                .ok_or_else(|| {
+                    XrlError::BadArgs(format!("{}missing argument {name}", self.ctx_prefix()))
+                })?,
+        };
+        let found = self.atoms[slot].value.atom_type();
+        let value = std::mem::replace(&mut self.atoms[slot].value, AtomValue::Bool(false));
+        T::from_owned_atom(value).ok_or_else(|| {
+            XrlError::BadArgs(format!(
+                "{}{name}: expected {}, got {}",
+                self.ctx_prefix(),
+                T::TYPE.tag(),
+                found.tag()
             ))
         })
     }
@@ -511,6 +534,9 @@ pub trait AtomCodec: Sized {
     fn into_atom(self) -> AtomValue;
     /// Decode from an atom value; `None` on a type mismatch.
     fn from_atom(value: &AtomValue) -> Option<Self>;
+    /// Decode from an owned atom value, moving its payload out instead of
+    /// cloning it; `None` on a type mismatch.
+    fn from_owned_atom(value: AtomValue) -> Option<Self>;
 }
 
 macro_rules! atom_codec {
@@ -523,6 +549,12 @@ macro_rules! atom_codec {
             fn from_atom(value: &AtomValue) -> Option<Self> {
                 match value {
                     AtomValue::$variant(v) => Some(v.clone()),
+                    _ => None,
+                }
+            }
+            fn from_owned_atom(value: AtomValue) -> Option<Self> {
+                match value {
+                    AtomValue::$variant(v) => Some(v),
                     _ => None,
                 }
             }

@@ -57,13 +57,6 @@ pub struct ResolveEntry {
     pub key: [u8; 16],
     /// Reachable endpoints, in registration order.
     pub endpoints: Vec<Endpoint>,
-    /// Interned id of the resolved method, when the target advertised a
-    /// signature for it (wire-v2 capable).
-    pub method_id: Option<u32>,
-    /// Hash of the advertised signature for the resolved method.  A
-    /// sender emits positional v2 frames only when this matches its own
-    /// signature hash; any mismatch falls back to named v1 frames.
-    pub sig_hash: Option<u64>,
 }
 
 /// A component birth/death event, delivered to lifetime watchers (§6.2).
@@ -83,9 +76,6 @@ struct Registration {
     key: [u8; 16],
     endpoints: Vec<Endpoint>,
     sole: bool,
-    /// Method path -> (interned id, signature hash), advertised by routers
-    /// that registered the method through a signed interface.
-    sigs: HashMap<String, (u32, u64)>,
 }
 
 /// A party interested in loop-thread callbacks (cache invalidation,
@@ -184,7 +174,6 @@ impl Finder {
                 key,
                 endpoints,
                 sole,
-                sigs: HashMap::new(),
             },
         );
         inner
@@ -248,30 +237,12 @@ impl Finder {
                 reg.class
             )));
         }
-        let sig = reg.sigs.get(method_path);
         Ok(ResolveEntry {
             instance: reg.instance.clone(),
             class: reg.class.clone(),
             key: reg.key,
             endpoints: reg.endpoints.clone(),
-            method_id: sig.map(|(id, _)| *id),
-            sig_hash: sig.map(|(_, h)| *h),
         })
-    }
-
-    /// Advertise a method signature for a registered instance: callers
-    /// resolving `path` on it learn the interned `method_id` and the
-    /// signature hash, unlocking positional wire-v2 frames when their own
-    /// hash matches.  Unknown instances are ignored (registration races
-    /// with advertisement during restart; the next registration re-runs
-    /// it).  No cache invalidation is needed: a stale cached resolution
-    /// without the signature just keeps using v1 named frames, which every
-    /// receiver accepts.
-    pub fn advertise_sig(&self, instance: &str, path: &str, method_id: u32, sig_hash: u64) {
-        let mut inner = self.inner.lock();
-        if let Some(reg) = inner.instances.get_mut(instance) {
-            reg.sigs.insert(path.to_string(), (method_id, sig_hash));
-        }
     }
 
     /// The registered instances of a class, in registration order.
@@ -479,25 +450,6 @@ mod tests {
         assert!(f.check_key("a-0", &k1));
         assert!(!f.check_key("a-0", &k2));
         assert!(!f.check_key("nope", &k1));
-    }
-
-    #[test]
-    fn advertised_sigs_ride_resolution() {
-        let f = Finder::new();
-        f.register("rib", "rib-0", ep(), true).unwrap();
-        // Before advertisement: resolution carries no signature.
-        let e = f.resolve("bgp", "rib", "rib/1.0/add_route").unwrap();
-        assert_eq!(e.method_id, None);
-        assert_eq!(e.sig_hash, None);
-        f.advertise_sig("rib-0", "rib/1.0/add_route", 3, 0xabcd);
-        let e = f.resolve("bgp", "rib", "rib/1.0/add_route").unwrap();
-        assert_eq!(e.method_id, Some(3));
-        assert_eq!(e.sig_hash, Some(0xabcd));
-        // Other methods on the same target stay unadvertised.
-        let e = f.resolve("bgp", "rib", "rib/1.0/delete_route").unwrap();
-        assert_eq!(e.method_id, None);
-        // Advertising on an unknown instance is a no-op, not a panic.
-        f.advertise_sig("ghost-0", "x/1.0/y", 0, 0);
     }
 
     #[test]

@@ -14,9 +14,10 @@
 //! ([`Client`](crate::xrl_interface!)-style struct with native-typed
 //! methods and async reply adapters), a server trait, and a dispatch
 //! wrapper that decodes arguments before the implementation runs.  The
-//! same declaration supplies the signature hash that negotiates the
-//! positional wire-v2 encoding (see [`crate::marshal`]) and the interned
-//! call sites that keep the per-route path off the string allocator.
+//! same declaration supplies each method's wire-v2 id (see
+//! [`crate::marshal`]), which caller and server compute independently, and
+//! the interned call sites that keep the per-route path off the string
+//! allocator.
 
 use std::marker::PhantomData;
 
@@ -143,11 +144,8 @@ impl Interface {
 }
 
 /// Deterministic FNV-1a hash of a method signature: name, then each
-/// argument's `(name, type tag)`, then each return's.  Both sides of a
-/// connection compute it from their own interface declaration; equality
-/// is what licenses the positional wire-v2 encoding — any drift in names,
-/// types, order, or arity changes the hash and falls the pair back to
-/// named v1 frames.
+/// argument's `(name, type tag)`, then each return's.  Any drift in names,
+/// types, order, or arity changes the hash.
 pub fn sig_hash(method: &str, args: &[(&str, AtomType)], rets: &[(&str, AtomType)]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -173,6 +171,17 @@ pub fn sig_hash(method: &str, args: &[(&str, AtomType)], rets: &[(&str, AtomType
     h
 }
 
+/// The wire-v2 id of a method: its full `iface/version/method` path and
+/// signature hashed with [`sig_hash`], folded to 32 bits.  Caller and
+/// server each derive it from their own declaration, so nothing is
+/// negotiated: a caller whose signature drifted from the server's sends an
+/// id the server does not know and gets `NoSuchMethod`, never a frame
+/// decoded against the wrong argument list.
+pub fn method_id(path: &str, args: &[(&str, AtomType)], rets: &[(&str, AtomType)]) -> u32 {
+    let h = sig_hash(path, args, rets);
+    (h ^ (h >> 32)) as u32
+}
+
 /// A tuple of native return values, convertible to and from an
 /// [`XrlArgs`] block.  Implemented for tuples of [`AtomCodec`] types up
 /// to arity 5; the `(T,)` trailing-comma form is a real tuple even at
@@ -188,7 +197,7 @@ macro_rules! ret_tuple {
     ($($t:ident : $idx:tt),*) => {
         impl<$($t: AtomCodec + 'static),*> RetTuple for ($($t,)*) {
             fn into_args(self, names: &'static [&'static str], positional: bool) -> XrlArgs {
-                let mut args = XrlArgs::new();
+                let mut args = XrlArgs::with_capacity(names.len());
                 let _ = (names, positional, &mut args);
                 $(
                     if positional {
@@ -217,7 +226,7 @@ ret_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
 /// A [`Responder`] specialized to one method's return signature.
 /// Generated server traits hand implementations one of these: it can be
 /// answered inline or stashed and answered later (delayed replies), and
-/// it encodes the reply positionally exactly when the request negotiated
+/// it encodes the reply positionally exactly when the request arrived on
 /// wire v2 — a v1 caller always gets named atoms back.
 pub struct TypedResponder<R: RetTuple> {
     responder: Responder,
@@ -279,19 +288,19 @@ impl<R: RetTuple> TypedResponder<R> {
 /// * `Client` — one typed method per declaration.  Arguments are native
 ///   types; the final parameter is an async reply adapter receiving
 ///   `Result<(rets,), XrlError>`.  Every method call site is interned
-///   ([`crate::XrlRouter::intern`]), so the per-call hot path does no
-///   string hashing, and sends positional wire-v2 frames to peers that
-///   advertised a matching signature hash.  `client.priority()` is the
-///   same stub on the priority lane.
+///   ([`crate::XrlRouter::intern`]) under its [`method_id`], so the
+///   per-call hot path does no string hashing and every call goes out as a
+///   positional wire-v2 frame.  `client.priority()` is the same stub on
+///   the priority lane.
 /// * `Server` — a trait with one method per declaration, receiving decoded
 ///   native arguments and a [`TypedResponder`] (stashable for delayed
 ///   replies).
 /// * `register(router, instance, impl Server)` — attaches a generated
-///   dispatch wrapper per method via signed registration
-///   ([`crate::XrlRouter::add_handler_signed`]), which advertises the
-///   signature to the Finder and decodes arguments (rejecting mistyped or
-///   missing ones with the method path in the error) before the trait
-///   method runs.
+///   dispatch wrapper per method under its path and its [`method_id`]
+///   ([`crate::XrlRouter::add_typed_handler`]).  The wrapper decodes
+///   arguments (rejecting mistyped or missing ones with the method path in
+///   the error) before the trait method runs, from a v2 positional frame
+///   or a v1 named one alike.
 /// * `interface()` — the runtime [`Interface`] value, for checking and
 ///   introspection.
 ///
@@ -329,21 +338,20 @@ macro_rules! xrl_interface {
 
             $(
                 #[allow(non_upper_case_globals)]
-                const $mname: (&str, &[&str], &[&str]) = (
+                const $mname: (&str, &[&str]) = (
                     concat!($iface, "/", $ver, "/", stringify!($mname)),
-                    &[$(stringify!($aname)),*],
                     &[$($(stringify!($rname)),*)?],
                 );
             )*
 
-            fn sig_of(method: &str) -> u64 {
+            fn id_of(method: &str) -> u32 {
                 let iface = interface();
                 let m = iface.find(method).expect("declared method");
                 let args: Vec<(&str, __sup::AtomType)> =
                     m.args.iter().map(|(n, t)| (n.as_str(), *t)).collect();
                 let rets: Vec<(&str, __sup::AtomType)> =
                     m.rets.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-                __sup::sig_hash(method, &args, &rets)
+                __sup::method_id(&iface.path(method), &args, &rets)
             }
 
             /// Typed client stub.  Cheap to clone; all clones share the
@@ -366,8 +374,7 @@ macro_rules! xrl_interface {
                             $mname: router.intern(
                                 target,
                                 $mname.0,
-                                sig_of(stringify!($mname)),
-                                $mname.1,
+                                id_of(stringify!($mname)),
                             ),
                         )*
                     }
@@ -397,7 +404,9 @@ macro_rules! xrl_interface {
                         ) + 'static,
                     ) {
                         #[allow(unused_mut)]
-                        let mut args = __sup::XrlArgs::new();
+                        let mut args = __sup::XrlArgs::with_capacity(
+                            <[&str]>::len(&[$(stringify!($aname)),*]),
+                        );
                         $( args.push_value(__sup::AtomCodec::into_atom($aname)); )*
                         self.router.send_interned(
                             el,
@@ -408,7 +417,7 @@ macro_rules! xrl_interface {
                                 let decoded = result.and_then(|args| {
                                     <($($($rty,)*)?) as __sup::RetTuple>::from_args(
                                         &args,
-                                        $mname.2,
+                                        $mname.1,
                                     )
                                 });
                                 cb(el, decoded);
@@ -433,9 +442,8 @@ macro_rules! xrl_interface {
             }
 
             /// Register `server` on a target instance: every method gets a
-            /// generated dispatch wrapper attached through signed
-            /// registration, advertising the signature for wire-v2
-            /// negotiation.  Returns the shared server handle.
+            /// generated dispatch wrapper, reachable by path (v1) and by
+            /// method id (v2).  Returns the shared server handle.
             pub fn register<S: Server>(
                 router: &__sup::XrlRouter,
                 instance: &str,
@@ -456,18 +464,18 @@ macro_rules! xrl_interface {
                 $(
                     {
                         let s = __sup::Rc::clone(server);
-                        router.add_handler_signed(
+                        router.add_typed_handler(
                             instance,
                             $mname.0,
-                            sig_of(stringify!($mname)),
-                            move |el, args, responder| {
-                                let _ = &args;
-                                let responder = __sup::TypedResponder::new(responder, $mname.2);
+                            id_of(stringify!($mname)),
+                            move |el, mut args, responder| {
+                                let _ = &mut args;
+                                let responder = __sup::TypedResponder::new(responder, $mname.1);
                                 #[allow(unused_mut, unused_variables)]
                                 let mut idx = 0usize;
                                 $(
                                     let $aname: $aty =
-                                        match args.get_arg(idx, stringify!($aname)) {
+                                        match args.take_arg(idx, stringify!($aname)) {
                                             Ok(v) => v,
                                             Err(e) => {
                                                 responder.fail(el, e);
@@ -624,7 +632,7 @@ mod stub_tests {
     }
 
     struct MathServer {
-        // (call, request-was-wire-v2) log, for negotiation assertions.
+        // (call, request-was-wire-v2) log, for wire-version assertions.
         calls: CallLog,
     }
 
@@ -728,39 +736,70 @@ mod stub_tests {
             got.contains(&"describe=Ok((\"lo@10.0.0.1\", 11))".to_string()),
             "{got:?}"
         );
-        // Signed registration + matching local signature ⇒ every request
-        // arrived positionally.
+        // Typed stubs always send positional wire-v2 frames.
         let calls = calls.borrow().clone();
         assert_eq!(calls.len(), 3);
         assert!(calls.iter().all(|(_, v2)| *v2), "{calls:?}");
     }
 
-    #[test]
-    fn v1_only_router_falls_back_to_named_frames() {
-        let mut el = EventLoop::new_virtual();
-        let router = XrlRouter::new(&mut el, Finder::new());
-        router.set_wire_v1_only(true);
-        router.register_target("math", "math-0", true).unwrap();
-        let calls = Rc::new(RefCell::new(Vec::new()));
-        test_math::register(
-            &router,
-            "math-0",
-            MathServer {
-                calls: calls.clone(),
-            },
-        );
-        let client = test_math::Client::new(&router, "math");
+    xrl_interface! {
+        /// `test_math` as a caller built from a drifted declaration would
+        /// see it: same path for `add`, different argument type.
+        #[allow(dead_code)]
+        pub interface test_math_drifted("test_math", "1.0") {
+            fn add(a: u32, b: u64) -> (sum: u32);
+        }
+    }
 
-        let sum = Rc::new(RefCell::new(None));
-        let s = sum.clone();
-        client.add(&mut el, 5, 6, move |_el, r| {
-            *s.borrow_mut() = Some(r.map(|(v,)| v));
+    #[test]
+    fn drifted_signature_gets_no_such_method() {
+        // The caller derives a different id for `test_math/1.0/add`, the
+        // server does not know it, and the call fails cleanly instead of
+        // decoding `b` against the wrong type.
+        let mut el = EventLoop::new_virtual();
+        let (router, calls) = setup(&mut el);
+        let client = test_math_drifted::Client::new(&router, "math");
+
+        let got = Rc::new(RefCell::new(None));
+        let g = got.clone();
+        client.add(&mut el, 1, 2, move |_el, r| {
+            *g.borrow_mut() = Some(r);
         });
         el.run_until_idle();
 
-        // The call still works, just over named v1 frames.
-        assert_eq!(*sum.borrow(), Some(Ok(11)));
-        assert_eq!(calls.borrow().as_slice(), &[("add", false)]);
+        assert!(
+            matches!(*got.borrow(), Some(Err(XrlError::NoSuchMethod(_)))),
+            "{:?}",
+            got.borrow()
+        );
+        assert!(calls.borrow().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "collides with")]
+    fn colliding_method_ids_panic_at_registration() {
+        let mut el = EventLoop::new_virtual();
+        let router = XrlRouter::new(&mut el, Finder::new());
+        router.register_target("math", "math-0", true).unwrap();
+        router.add_typed_handler("math-0", "a/1.0/x", 7, |el, _args, r| r.ok(el));
+        router.add_typed_handler("math-0", "a/1.0/y", 7, |el, _args, r| r.ok(el));
+    }
+
+    #[test]
+    fn method_ids_differ_per_path_and_signature() {
+        let add = crate::idl::method_id("test_math/1.0/add", &[("a", AtomType::U32)], &[]);
+        assert_ne!(
+            add,
+            crate::idl::method_id("other/1.0/add", &[("a", AtomType::U32)], &[])
+        );
+        assert_ne!(
+            add,
+            crate::idl::method_id("test_math/1.0/add", &[("a", AtomType::U64)], &[])
+        );
+        assert_eq!(
+            add,
+            crate::idl::method_id("test_math/1.0/add", &[("a", AtomType::U32)], &[])
+        );
     }
 
     #[test]

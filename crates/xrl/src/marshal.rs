@@ -21,18 +21,20 @@
 //! args:       u16 count | (str name | u8 type | value)*
 //! ```
 //!
-//! A v2 request carries neither the method path nor argument names: the
-//! sender negotiated a per-target signature at resolution time (the
-//! Finder advertises `(path → method_id, sig_hash)` for targets registered
-//! through signed interfaces), so both sides agree on argument order.
-//! Senders fall back to v1 named frames for peers that never advertised a
-//! signature — mixed-version interop is transparent.
+//! A v2 request carries neither the method path nor argument names.  Typed
+//! stubs send it: `method_id` is derived from the method's path and
+//! signature in the shared `xrl_interface!` declaration
+//! ([`crate::idl::method_id`]), which the receiver derives the same way, so
+//! both sides agree on argument order without negotiating.  A receiver
+//! that does not know an id answers `NoSuchMethod`.  Untyped senders
+//! (scripts, the proxy, the Finder) send v1 named frames, which typed
+//! servers accept too.
 //!
 //! The trace bit exists only on the v2 kind byte: a sampled route's
 //! [`TraceContext`] rides the frame as a fixed 12-byte trailer after the
 //! positional arguments.  v1 frames and unflagged v2 frames are
-//! byte-identical to the pre-tracing encoding, so v1-pinned peers and
-//! unsampled traffic never see the extension.
+//! byte-identical to the pre-tracing encoding, so unsampled traffic never
+//! sees the extension.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use xorp_profiler::tracing::TraceContext;
@@ -58,8 +60,8 @@ pub enum Frame {
         /// `iface/version/method`.  Empty on a decoded v2 frame: the
         /// receiver resolves the method from `method_id` instead.
         path: String,
-        /// Interned method id, present when the sender negotiated the
-        /// target's signature.  `Some` selects the v2 positional encoding.
+        /// Wire-v2 method id, present on typed calls.  `Some` selects the
+        /// v2 positional encoding.
         method_id: Option<u32>,
         /// Arguments.
         args: XrlArgs,
@@ -71,8 +73,7 @@ pub enum Frame {
         priority: bool,
         /// Causal trace context carried as a v2 trailer.  Only encoded
         /// when `method_id` is `Some`: the v1 wire has no trailer and a
-        /// trace on a v1 frame is silently dropped, so v1-pinned peers
-        /// never receive a flagged frame.
+        /// trace on a v1 frame is silently dropped.
         trace: Option<TraceContext>,
     },
     /// The reply to a request.
@@ -315,8 +316,8 @@ fn get_args(buf: &mut Bytes) -> Result<XrlArgs, XrlError> {
 }
 
 /// Encode an argument block positionally: values only, no names.  Any
-/// names the atoms carry are dropped — the signature both sides agreed on
-/// at negotiation time defines the order.
+/// names the atoms carry are dropped — the interface declaration both
+/// sides were generated from defines the order.
 fn put_args_positional(buf: &mut BytesMut, args: &XrlArgs) {
     buf.put_u16(args.len() as u16);
     for atom in args.atoms() {
@@ -386,7 +387,10 @@ impl Frame {
 
     /// Encode this frame, including the length header.
     pub fn encode(&self) -> BytesMut {
+        // One buffer: reserve the length header, encode the body after
+        // it, then patch the header in.
         let mut body = BytesMut::with_capacity(128);
+        body.put_u32(0);
         let pri = |p: &bool| if *p { KIND_PRIORITY } else { 0 };
         match self {
             Frame::Request {
@@ -452,10 +456,9 @@ impl Frame {
                 body.put_u32(*signal);
             }
         }
-        let mut out = BytesMut::with_capacity(body.len() + 4);
-        out.put_u32(body.len() as u32);
-        out.extend_from_slice(&body);
-        out
+        let len = (body.len() - 4) as u32;
+        body[..4].copy_from_slice(&len.to_be_bytes());
+        body
     }
 
     /// Decode a frame body (the bytes after the u32 length header).
@@ -955,8 +958,8 @@ mod tests {
     }
 
     /// A v1 (named) frame never grows a trailer, whatever the trace field
-    /// says: the context is dropped at encode time so a v1-pinned peer
-    /// cannot receive a flagged frame.
+    /// says: the v1 wire has no trailer, so the context is dropped at
+    /// encode time rather than producing a frame no v1 decoder expects.
     #[test]
     fn v1_frames_drop_trace_silently() {
         let plain = Frame::Request {

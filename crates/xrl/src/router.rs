@@ -70,7 +70,7 @@ use crate::XrlResult;
 pub type ResponseCb = Box<dyn FnOnce(&mut EventLoop, XrlResult)>;
 
 /// Handler for an incoming XRL method.
-pub type Handler = Rc<dyn Fn(&mut EventLoop, &XrlArgs, Responder)>;
+pub type Handler = Rc<dyn Fn(&mut EventLoop, XrlArgs, Responder)>;
 
 /// Transport preference for an outgoing XRL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -234,8 +234,8 @@ pub struct Responder {
     /// The request arrived priority-marked; the reply is marked too, so
     /// the probe's round trip jumps receive queues in both directions.
     priority: bool,
-    /// The request arrived as a wire-v2 positional frame: the caller
-    /// negotiated our signature, so reply atoms may go unnamed too.
+    /// The request arrived as a wire-v2 positional frame from a typed
+    /// stub, so reply atoms may go unnamed too.
     wire_v2: bool,
 }
 
@@ -259,10 +259,22 @@ impl Responder {
         } = self;
         if let Some(key) = origin {
             // Cache the outcome so a retransmission of this request replays
-            // the response instead of re-running the handler.
+            // the response instead of re-running the handler.  Identical
+            // consecutive replies (a route hop answers every frame alike)
+            // share one cached copy, so the cache costs a pointer per
+            // request rather than a reply.
             let mut inner = router.inner.borrow_mut();
+            let inner = &mut *inner;
             if let Some(state) = inner.dedup.get_mut(&key) {
-                *state = DedupState::Done(result.clone());
+                let shared = match &inner.last_reply {
+                    Some(last) if **last == result => last.clone(),
+                    _ => {
+                        let fresh = Rc::new(result.clone());
+                        inner.last_reply = Some(fresh.clone());
+                        fresh
+                    }
+                };
+                *state = DedupState::Done(shared);
             }
         }
         match path {
@@ -333,7 +345,7 @@ enum DedupState {
     /// will answer the first copy.
     InFlight,
     /// Handler replied: replay this to any retransmission.
-    Done(XrlResult),
+    Done(Rc<XrlResult>),
 }
 
 /// Fallback dedup retention when no [`RetryPolicy`] is configured: with no
@@ -341,8 +353,7 @@ enum DedupState {
 /// outlive transit reordering.  Kept generous anyway — the cache is tiny.
 const DEDUP_DEFAULT_WINDOW: Duration = Duration::from_secs(30);
 
-/// One registered method on a target: its interned slot is its index in
-/// [`Target::methods`], which doubles as the wire-v2 `method_id`.
+/// One registered method on a target.
 struct MethodEntry {
     /// Full `iface/version/method` path.  `Arc` (not `Rc`): clones of it
     /// are attached to decoded argument blocks as error context, and those
@@ -355,10 +366,12 @@ struct Target {
     class: String,
     key: [u8; 16],
     sole: bool,
-    /// Method table in registration order; index == wire-v2 method id.
+    /// Method table in registration order.
     methods: Vec<MethodEntry>,
     /// Path -> index into `methods`, for v1 named dispatch.
     by_path: HashMap<String, u32>,
+    /// Wire-v2 method id -> index into `methods`, for typed methods.
+    by_id: HashMap<u32, u32>,
 }
 
 #[derive(Default)]
@@ -392,14 +405,11 @@ struct RouterInner {
     /// joined string, so a target name containing the old `|` separator
     /// cannot alias another entry.
     resolve_cache: HashMap<(String, String), ResolveEntry>,
-    /// Bumped whenever `resolve_cache` is flushed or partially invalidated
-    /// (and on wire-mode changes).  [`InternedCall`]s remember the
-    /// generation they resolved under and re-resolve when it moves — no
-    /// registry of interned calls to walk.
+    /// Bumped whenever `resolve_cache` is flushed or partially
+    /// invalidated.  [`InternedCall`]s remember the generation they
+    /// resolved under and re-resolve when it moves — no registry of
+    /// interned calls to walk.
     cache_generation: u64,
-    /// Never emit wire-v2 frames and never advertise signatures: this
-    /// router behaves like a pre-v2 peer.  For mixed-version testing.
-    wire_v1_only: bool,
     tcp: Option<TcpState>,
     udp: Option<UdpState>,
     fault: Option<FaultPlan>,
@@ -416,6 +426,9 @@ struct RouterInner {
     /// Data frames shed at the hard cap (diagnostic).
     shed: u64,
     dedup: HashMap<(u64, u64), DedupState>,
+    /// The most recently cached reply, shared by the next dedup entry
+    /// whose reply is equal.
+    last_reply: Option<Rc<XrlResult>>,
     /// Insertion-ordered request identities with their arrival time.  An
     /// entry is evicted only once it is older than the retry policy's
     /// retransmission window — never by a size cap — so eviction can never
@@ -454,27 +467,22 @@ struct XrlMetrics {
 }
 
 /// What an [`InternedCall`] remembers between sends: the resolution, the
-/// chosen transport, the precomputed lane label, and whether wire-v2 was
-/// negotiated.  Valid only while the router's cache generation matches.
+/// chosen transport and the precomputed lane label.  Valid only while the
+/// router's cache generation matches.
 struct InternedCached {
     instance: String,
     key: [u8; 16],
     via: Via,
     /// Precomputed overload-lane label (`None` for intra dispatch).
     lane: Option<Rc<str>>,
-    /// The peer advertised a matching signature: send positional frames.
-    method_id: Option<u32>,
 }
 
 struct InternedInner {
     target: String,
     path: String,
-    /// This side's signature hash; v2 only when the peer advertises the
-    /// same value for `path`.
-    sig_hash: u64,
-    /// Argument names in signature order, used to label positional args
-    /// when falling back to v1 named frames.
-    arg_names: &'static [&'static str],
+    /// The method's wire-v2 id, derived from its declaration
+    /// ([`crate::idl::method_id`]).
+    method_id: u32,
     cached: RefCell<Option<InternedCached>>,
     /// Router cache generation the entry was resolved under.
     generation: Cell<u64>,
@@ -484,9 +492,8 @@ struct InternedInner {
 /// [`XrlRouter::intern`]; [`XrlRouter::send_interned`] then skips the
 /// per-send path rendering, `(String, String)` cache-key allocation, and
 /// lane-label formatting that [`XrlRouter::send`] pays per route, and
-/// negotiates the positional wire-v2 encoding when the resolved target
-/// advertised a matching signature.  Self-invalidates when the router's
-/// resolve cache is flushed.
+/// always sends the positional wire-v2 encoding.  Self-invalidates when
+/// the router's resolve cache is flushed.
 #[derive(Clone)]
 pub struct InternedCall {
     inner: Rc<InternedInner>,
@@ -531,7 +538,6 @@ impl XrlRouter {
                 pending: HashMap::new(),
                 resolve_cache: HashMap::new(),
                 cache_generation: 1,
-                wire_v1_only: false,
                 tcp: None,
                 udp: None,
                 fault: None,
@@ -541,6 +547,7 @@ impl XrlRouter {
                 congestion_cb: None,
                 shed: 0,
                 dedup: HashMap::new(),
+                last_reply: None,
                 dedup_order: VecDeque::new(),
                 watchdog: None,
                 lifetime_cbs: Vec::new(),
@@ -870,6 +877,7 @@ impl XrlRouter {
                 sole,
                 methods: Vec::new(),
                 by_path: HashMap::new(),
+                by_id: HashMap::new(),
             },
         );
         Ok(())
@@ -880,52 +888,57 @@ impl XrlRouter {
     where
         F: Fn(&mut EventLoop, &XrlArgs, Responder) + 'static,
     {
-        self.add_handler_inner(instance, path, Rc::new(f), None);
+        self.add_handler_inner(
+            instance,
+            path,
+            Rc::new(move |el, args: XrlArgs, responder| f(el, &args, responder)),
+            None,
+        );
     }
 
-    /// Attach a handler registered through a signed interface: like
-    /// [`XrlRouter::add_handler`], but also advertises the method's
-    /// interned id and signature hash to the Finder, so callers holding
-    /// the same signature can switch to positional wire-v2 frames.
-    pub fn add_handler_signed<F>(&self, instance: &str, path: &str, sig_hash: u64, f: F)
+    /// Attach a handler generated from an interface declaration: like
+    /// [`XrlRouter::add_handler`], but also reachable from wire-v2 frames
+    /// by `method_id`, and handed the decoded arguments by value.  Panics
+    /// if another method on the target already holds the id — two
+    /// declarations whose ids collide cannot share a target.
+    pub fn add_typed_handler<F>(&self, instance: &str, path: &str, method_id: u32, f: F)
     where
-        F: Fn(&mut EventLoop, &XrlArgs, Responder) + 'static,
+        F: Fn(&mut EventLoop, XrlArgs, Responder) + 'static,
     {
-        self.add_handler_inner(instance, path, Rc::new(f), Some(sig_hash));
+        self.add_handler_inner(instance, path, Rc::new(f), Some(method_id));
     }
 
-    fn add_handler_inner(&self, instance: &str, path: &str, h: Handler, sig_hash: Option<u64>) {
-        let (method_id, finder, advertise) = {
-            let mut inner = self.inner.borrow_mut();
-            let advertise = !inner.wire_v1_only;
-            let finder = inner.finder.clone();
-            let target = inner
-                .targets
-                .get_mut(instance)
-                .unwrap_or_else(|| panic!("no such target: {instance}"));
-            let id = match target.by_path.get(path) {
-                Some(&i) => {
-                    // Re-registration replaces the handler in its slot so
-                    // existing interned ids stay valid.
-                    target.methods[i as usize].handler = h;
-                    i
-                }
-                None => {
-                    let i = target.methods.len() as u32;
-                    target.methods.push(MethodEntry {
-                        path: Arc::from(path),
-                        handler: h,
-                    });
-                    target.by_path.insert(path.to_string(), i);
-                    i
-                }
-            };
-            (id, finder, advertise)
-        };
-        if let Some(hash) = sig_hash {
-            if advertise {
-                finder.advertise_sig(instance, path, method_id, hash);
+    fn add_handler_inner(&self, instance: &str, path: &str, h: Handler, method_id: Option<u32>) {
+        let mut inner = self.inner.borrow_mut();
+        let target = inner
+            .targets
+            .get_mut(instance)
+            .unwrap_or_else(|| panic!("no such target: {instance}"));
+        let slot = match target.by_path.get(path) {
+            Some(&i) => {
+                // Re-registration replaces the handler in its slot.
+                target.methods[i as usize].handler = h;
+                i
             }
+            None => {
+                let i = target.methods.len() as u32;
+                target.methods.push(MethodEntry {
+                    path: Arc::from(path),
+                    handler: h,
+                });
+                target.by_path.insert(path.to_string(), i);
+                i
+            }
+        };
+        if let Some(id) = method_id {
+            if let Some(&other) = target.by_id.get(&id) {
+                let other = &target.methods[other as usize].path;
+                assert!(
+                    other.as_ref() == path,
+                    "{instance}: method id {id:#x} of {path} collides with {other}"
+                );
+            }
+            target.by_id.insert(id, slot);
         }
     }
 
@@ -939,15 +952,6 @@ impl XrlRouter {
             let result = f(el, args);
             responder.reply(el, result);
         });
-    }
-
-    /// Pin this router to wire v1: never advertise signatures, never emit
-    /// positional frames.  Models a peer from before the v2 encoding, for
-    /// mixed-version interop testing.  Set before registering handlers.
-    pub fn set_wire_v1_only(&self, v1_only: bool) {
-        let mut inner = self.inner.borrow_mut();
-        inner.wire_v1_only = v1_only;
-        inner.cache_generation += 1;
     }
 
     /// Handler for kill-family signals (default: stop the loop).
@@ -1244,24 +1248,15 @@ impl XrlRouter {
         }
     }
 
-    /// Intern an outgoing `(target, path)` call site.  `sig_hash` is this
-    /// side's hash of the method signature; `arg_names` are the argument
-    /// names in signature order, used to label positional arguments when
-    /// falling back to v1 named frames.  Generated client stubs intern
-    /// every method once at construction.
-    pub fn intern(
-        &self,
-        target: &str,
-        path: &str,
-        sig_hash: u64,
-        arg_names: &'static [&'static str],
-    ) -> InternedCall {
+    /// Intern an outgoing `(target, path)` call site whose wire-v2 id is
+    /// `method_id`.  Generated client stubs intern every method once at
+    /// construction.
+    pub fn intern(&self, target: &str, path: &str, method_id: u32) -> InternedCall {
         InternedCall {
             inner: Rc::new(InternedInner {
                 target: target.to_string(),
                 path: path.to_string(),
-                sig_hash,
-                arg_names,
+                method_id,
                 cached: RefCell::new(None),
                 generation: Cell::new(0),
             }),
@@ -1273,9 +1268,8 @@ impl XrlRouter {
     /// flush) the per-route cost is one array-indexed cache check — no
     /// path rendering, no `(String, String)` resolve-cache key, no lane
     /// label `format!`.  `args` is positional (built with
-    /// [`XrlArgs::push_value`] in signature order); when wire v2 was not
-    /// negotiated with the resolved peer the atoms are labeled from
-    /// `arg_names` and the frame goes out as v1 named.
+    /// [`XrlArgs::push_value`] in signature order) and goes out as a
+    /// wire-v2 frame addressed by the call's method id.
     pub fn send_interned(
         &self,
         el: &mut EventLoop,
@@ -1322,50 +1316,24 @@ impl XrlRouter {
                 );
                 return;
             };
-            let v1_only = self.inner.borrow().wire_v1_only;
-            let method_id = if !v1_only && entry.sig_hash == Some(call.inner.sig_hash) {
-                entry.method_id
-            } else {
-                None
-            };
             *call.inner.cached.borrow_mut() = Some(InternedCached {
                 instance: entry.instance,
                 key: entry.key,
                 via,
                 lane,
-                method_id,
             });
             call.inner.generation.set(generation);
         }
 
-        let (instance, key, via, lane, method_id) = {
+        let (instance, key, via, lane) = {
             let cached = call.inner.cached.borrow();
             let c = cached.as_ref().expect("interned cache populated");
-            (
-                c.instance.clone(),
-                c.key,
-                c.via,
-                c.lane.clone(),
-                c.method_id,
-            )
+            (c.instance.clone(), c.key, c.via, c.lane.clone())
         };
-
-        // v1 fallback: the peer never advertised our signature, so label
-        // the positional atoms with their names before the frame leaves.
-        let mut args = args;
-        if method_id.is_none() {
-            args.label_names(call.inner.arg_names);
-        }
-
-        // A sampled route's ambient context rides v2 frames as the trace
-        // trailer.  v1 peers never see it: the v1 wire has no trailer, so
-        // the context stops here rather than producing a flagged frame
-        // the peer can't parse.
-        let trace = if method_id.is_some() {
-            xtrace::current()
-        } else {
-            None
-        };
+        let method_id = Some(call.inner.method_id);
+        // A sampled route's ambient context rides the frame as the v2
+        // trace trailer.
+        let trace = xtrace::current();
 
         // Overload control, identical to `send_inner` but with the lane
         // label precomputed.
@@ -1425,7 +1393,6 @@ impl XrlRouter {
             Via::Intra => {
                 let router = self.clone();
                 let path = call.inner.path.clone();
-                let trace = xtrace::current();
                 el.defer(move |el| {
                     router.dispatch(
                         el,
@@ -1448,10 +1415,7 @@ impl XrlRouter {
                     sender: my_id,
                     target: instance,
                     key,
-                    path: match method_id {
-                        Some(_) => String::new(),
-                        None => call.inner.path.clone(),
-                    },
+                    path: String::new(),
                     args,
                     method_id,
                     priority,
@@ -1475,10 +1439,7 @@ impl XrlRouter {
                     sender: my_id,
                     target: instance,
                     key,
-                    path: match method_id {
-                        Some(_) => String::new(),
-                        None => call.inner.path.clone(),
-                    },
+                    path: String::new(),
                     args,
                     method_id,
                     priority,
@@ -1861,9 +1822,10 @@ impl XrlRouter {
     /// retransmissions so every request runs its handler exactly once.
     ///
     /// `method_id` is present for wire-v2 frames (and interned intra
-    /// dispatch): the handler is found by array index in the target's
-    /// method table, with no path hashing.  v1 frames go through the
-    /// path-keyed index instead.
+    /// dispatch): the handler is found through the target's id index.  v1
+    /// frames go through the path-keyed index instead.  An id the target
+    /// does not know — a caller built from a different declaration — is
+    /// answered with `NoSuchMethod`.
     #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &self,
@@ -1891,7 +1853,7 @@ impl XrlRouter {
                 let mut inner = self.inner.borrow_mut();
                 match inner.dedup.get(&dedup_key) {
                     Some(DedupState::InFlight) => return, // duplicate; first copy will answer
-                    Some(DedupState::Done(result)) => Some(result.clone()),
+                    Some(DedupState::Done(result)) => Some(XrlResult::clone(result)),
                     None => {
                         inner.dedup.insert(dedup_key, DedupState::InFlight);
                         inner.dedup_order.push_back((dedup_key, now));
@@ -1954,7 +1916,7 @@ impl XrlRouter {
                 }
                 Some(t) => {
                     let entry = match method_id {
-                        Some(id) => t.methods.get(id as usize),
+                        Some(id) => t.by_id.get(&id).and_then(|&i| t.methods.get(i as usize)),
                         None => t.by_path.get(path).and_then(|&i| t.methods.get(i as usize)),
                     };
                     match entry {
@@ -1979,7 +1941,7 @@ impl XrlRouter {
                 // inherits the caller's causality, then the previous
                 // ambient context is restored.
                 let prev = xtrace::set_current(trace);
-                h(el, &args, responder);
+                h(el, args, responder);
                 xtrace::set_current(prev);
             }
             Err(e) => responder.reply(el, Err(e)),

@@ -1,11 +1,11 @@
 //! Wire-compatibility suite: golden frame fixtures pin the v1 and v2
-//! binary encodings byte for byte, and mixed-version interop tests show
-//! a v1-only peer and a v2-capable peer converse transparently over TCP
-//! in both directions.
+//! binary encodings byte for byte, and interop tests over TCP show typed
+//! stubs reaching generated servers on the v2 wire and untyped named-frame
+//! callers reaching the same servers on v1.
 //!
 //! The fixtures are the contract: if either hex string changes, the wire
-//! format changed and every deployed peer is affected — bump the
-//! negotiation, don't edit the constant.
+//! format changed and every deployed peer is affected — don't edit the
+//! constant.
 
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use xorp_event::{EventLoop, EventSender};
 use xorp_xrl::marshal::Frame;
-use xorp_xrl::{xrl_interface, AtomValue, Finder, XrlArgs, XrlRouter};
+use xorp_xrl::{xrl_interface, AtomValue, Finder, Xrl, XrlArgs, XrlRouter};
 
 // ---- golden fixtures ----------------------------------------------------
 
@@ -129,20 +129,15 @@ impl calc::Server for CalcServer {
     }
 }
 
-/// A calc "process" on its own thread, over TCP.  `v1_only` models a
-/// pre-v2 build: it neither advertises signatures nor emits v2 frames.
+/// A calc "process" on its own thread, over TCP.
 fn spawn_calc(
     finder: Finder,
-    v1_only: bool,
     wire: Arc<Mutex<Vec<bool>>>,
 ) -> (EventSender, std::thread::JoinHandle<()>) {
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::spawn(move || {
         let mut el = EventLoop::new();
         let router = XrlRouter::new(&mut el, finder);
-        if v1_only {
-            router.set_wire_v1_only(true);
-        }
         router.enable_tcp().unwrap();
         router.register_target("calc", "calc-0", false).unwrap();
         calc::register(&router, "calc-0", CalcServer { wire });
@@ -154,19 +149,12 @@ fn spawn_calc(
     (sender, handle)
 }
 
-/// Call `add` through the typed stub and spin the caller's loop until
-/// the reply lands.
-fn call_add(el: &mut EventLoop, client: &calc::Client, a: u32, b: u32) -> u32 {
-    let slot = std::rc::Rc::new(std::cell::RefCell::new(None));
-    let s = slot.clone();
-    client.add(el, a, b, move |_el, r| {
-        *s.borrow_mut() = Some(r);
-    });
+/// Spin the caller's loop until `slot` is filled.
+fn wait_reply<T>(el: &mut EventLoop, slot: &std::rc::Rc<std::cell::RefCell<Option<T>>>) -> T {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         if let Some(res) = slot.borrow_mut().take() {
-            let (sum,) = res.expect("calc/1.0/add failed");
-            return sum;
+            return res;
         }
         assert!(Instant::now() < deadline, "calc/1.0/add timed out");
         if !el.run_one() {
@@ -175,12 +163,21 @@ fn call_add(el: &mut EventLoop, client: &calc::Client, a: u32, b: u32) -> u32 {
     }
 }
 
-fn caller(finder: Finder, v1_only: bool) -> (EventLoop, XrlRouter) {
+/// Call `add` through the typed stub and spin the caller's loop until
+/// the reply lands.
+fn call_add(el: &mut EventLoop, client: &calc::Client, a: u32, b: u32) -> u32 {
+    let slot = std::rc::Rc::new(std::cell::RefCell::new(None));
+    let s = slot.clone();
+    client.add(el, a, b, move |_el, r| {
+        *s.borrow_mut() = Some(r);
+    });
+    let (sum,) = wait_reply(el, &slot).expect("calc/1.0/add failed");
+    sum
+}
+
+fn caller(finder: Finder) -> (EventLoop, XrlRouter) {
     let mut el = EventLoop::new();
     let router = XrlRouter::new(&mut el, finder);
-    if v1_only {
-        router.set_wire_v1_only(true);
-    }
     router.enable_tcp().unwrap();
     router.register_target("caller", "caller-0", false).unwrap();
     (el, router)
@@ -190,8 +187,8 @@ fn caller(finder: Finder, v1_only: bool) -> (EventLoop, XrlRouter) {
 fn v2_peers_negotiate_positional_wire_over_tcp() {
     let finder = Finder::new();
     let wire = Arc::new(Mutex::new(Vec::new()));
-    let (sender, handle) = spawn_calc(finder.clone(), false, wire.clone());
-    let (mut el, router) = caller(finder, false);
+    let (sender, handle) = spawn_calc(finder.clone(), wire.clone());
+    let (mut el, router) = caller(finder);
 
     let client = calc::Client::new(&router, "calc");
     for i in 0..4u32 {
@@ -209,17 +206,37 @@ fn v2_peers_negotiate_positional_wire_over_tcp() {
     handle.join().unwrap();
 }
 
+/// The v1 surface that remains: an untyped caller (as `script::call_xrl`
+/// and the proxy are) sends a named frame to a typed server and gets a
+/// named reply back.
 #[test]
 fn v1_only_caller_reaches_v2_server() {
     let finder = Finder::new();
     let wire = Arc::new(Mutex::new(Vec::new()));
-    let (sender, handle) = spawn_calc(finder.clone(), false, wire.clone());
-    let (mut el, router) = caller(finder, true);
+    let (sender, handle) = spawn_calc(finder.clone(), wire.clone());
+    let (mut el, router) = caller(finder);
 
-    let client = calc::Client::new(&router, "calc");
-    assert_eq!(call_add(&mut el, &client, 20, 22), 42);
+    let slot = std::rc::Rc::new(std::cell::RefCell::new(None));
+    let s = slot.clone();
+    let xrl = Xrl::generic(
+        "calc",
+        "calc",
+        "1.0",
+        "add",
+        XrlArgs::new().add_u32("a", 20).add_u32("b", 22),
+    );
+    router.send(
+        &mut el,
+        xrl,
+        Box::new(move |_el, r| {
+            *s.borrow_mut() = Some(r);
+        }),
+    );
+    let reply = wait_reply(&mut el, &slot).expect("calc/1.0/add failed");
+    // A named reply: the sum is found by name, not only by position.
+    assert_eq!(reply.get_u32("sum"), Ok(42));
     let seen = wire.lock().unwrap().clone();
-    assert_eq!(seen, vec![false], "v1-only caller somehow emitted v2");
+    assert_eq!(seen, vec![false], "a named-frame call arrived as v2");
 
     router.shutdown(&mut el);
     sender.stop();
@@ -251,16 +268,12 @@ impl calc::Server for TracingCalcServer {
 
 fn spawn_tracing_calc(
     finder: Finder,
-    v1_only: bool,
     seen: SeenCalls,
 ) -> (EventSender, std::thread::JoinHandle<()>) {
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::spawn(move || {
         let mut el = EventLoop::new();
         let router = XrlRouter::new(&mut el, finder);
-        if v1_only {
-            router.set_wire_v1_only(true);
-        }
         router.enable_tcp().unwrap();
         router.register_target("calc", "calc-0", false).unwrap();
         calc::register(&router, "calc-0", TracingCalcServer { seen });
@@ -279,8 +292,8 @@ fn spawn_tracing_calc(
 fn trace_context_rides_v2_wire_to_server() {
     let finder = Finder::new();
     let seen = Arc::new(Mutex::new(Vec::new()));
-    let (sender, handle) = spawn_tracing_calc(finder.clone(), false, seen.clone());
-    let (mut el, router) = caller(finder, false);
+    let (sender, handle) = spawn_tracing_calc(finder.clone(), seen.clone());
+    let (mut el, router) = caller(finder);
     let client = calc::Client::new(&router, "calc");
 
     // Unsampled call: no ambient context, no trailer.
@@ -306,38 +319,6 @@ fn trace_context_rides_v2_wire_to_server() {
     handle.join().unwrap();
 }
 
-/// A v1-pinned peer must never receive a flagged frame: the caller's
-/// ambient context is dropped at the v1 fallback, so the server decodes
-/// a plain named frame and sees no context.
-#[test]
-fn v1_pinned_peer_never_receives_flagged_frame() {
-    let finder = Finder::new();
-    let seen = Arc::new(Mutex::new(Vec::new()));
-    let (sender, handle) = spawn_tracing_calc(finder.clone(), true, seen.clone());
-    let (mut el, router) = caller(finder, false);
-    let client = calc::Client::new(&router, "calc");
-
-    let ctx = TraceContext {
-        trace_id: 7,
-        parent_span: 9,
-    };
-    let prev = xtrace::set_current(Some(ctx));
-    let sum = call_add(&mut el, &client, 20, 22);
-    xtrace::set_current(prev);
-    assert_eq!(sum, 42);
-
-    let got = seen.lock().unwrap().clone();
-    assert_eq!(
-        got,
-        vec![(false, None)],
-        "a v1-pinned peer saw a v2 frame or a trace context"
-    );
-
-    router.shutdown(&mut el);
-    sender.stop();
-    handle.join().unwrap();
-}
-
 /// Tracing enabled but unsampled changes nothing on the wire: with a
 /// live tracer whose sampler declines, the ambient context stays unset
 /// and both golden fixtures encode byte-identically.
@@ -350,23 +331,4 @@ fn golden_fixtures_unchanged_with_tracing_enabled_but_unsampled() {
     assert_eq!(xtrace::current(), None);
     assert_eq!(to_hex(&v1_add_route_frame().encode()), V1_ADD_ROUTE_HEX);
     assert_eq!(to_hex(&v2_add_route_frame().encode()), V2_ADD_ROUTE_HEX);
-}
-
-#[test]
-fn v2_caller_falls_back_for_v1_only_server() {
-    let finder = Finder::new();
-    let wire = Arc::new(Mutex::new(Vec::new()));
-    let (sender, handle) = spawn_calc(finder.clone(), true, wire.clone());
-    let (mut el, router) = caller(finder, false);
-
-    // The server never advertised a signature, so the interned call's
-    // negotiation finds none and the stub stays on v1 named frames.
-    let client = calc::Client::new(&router, "calc");
-    assert_eq!(call_add(&mut el, &client, 2, 40), 42);
-    let seen = wire.lock().unwrap().clone();
-    assert_eq!(seen, vec![false], "caller sent v2 to a v1-only peer");
-
-    router.shutdown(&mut el);
-    sender.stop();
-    handle.join().unwrap();
 }
